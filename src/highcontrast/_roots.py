@@ -58,9 +58,11 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
 
     ``step`` is the scan resolution (defaults to splitting each window in
     ``n_min`` pieces); sign changes are bisected by Brent's method to
-    ``xtol`` and polished values are returned sorted.
+    ``xtol`` and polished values are returned sorted.  A sign change whose
+    polished point has a residual above both bracket values is a pole, not
+    a root, and is dropped.
     """
-    roots = []
+    found = []                                  # (root, residual)
     for a, b in windows_between_poles(lo, hi, poles):
         n = max(n_min, int(np.ceil((b - a) / step)) if step else n_min)
         xs = np.linspace(a, b, n + 1)
@@ -68,11 +70,15 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
         sign = np.sign(vals)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
             r = brentq(f, xs[i], xs[i + 1], xtol=xtol, rtol=8 * np.finfo(float).eps)
-            roots.append(r)
+            res = abs(f(r))
+            # a sign change across a pole missing from ``poles``: Brent's
+            # method closes in on the pole, where |f| exceeds both bracket ends
+            if res <= max(abs(vals[i]), abs(vals[i + 1])):
+                found.append((r, res))
         for i in np.nonzero(vals == 0.0)[0]:
-            roots.append(float(xs[i]))
-    roots = sorted(roots)
+            found.append((float(xs[i]), 0.0))
+    found.sort()
+    roots = [r for r, _ in found]
     clusters = tuple((r1, r2) for r1, r2 in zip(roots[:-1], roots[1:])
                      if r2 - r1 < cluster_tol * max(1.0, abs(r1)))
-    residuals = tuple(abs(f(r)) for r in roots)
-    return RootReport(tuple(roots), residuals, clusters)
+    return RootReport(tuple(roots), tuple(res for _, res in found), clusters)

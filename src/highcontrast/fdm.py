@@ -14,7 +14,8 @@ reduction split the matrix exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +31,7 @@ __all__ = [
     "EigensolverError",
     "assemble",
     "smallest_eigenpairs",
+    "eigenpairs_below",
     "solve",
     "flux_on_interface",
     "export_matrix",
@@ -265,7 +267,18 @@ class SpectrumResult:
 
 
 def _geometry_tag(medium: ContrastMedium) -> str:
-    return f"{type(medium.geometry).__name__}:{hash(repr(medium.geometry)) & 0xFFFFFFFF:08x}"
+    """Stable fingerprint of the geometry: sha256 over its fields and mask bytes."""
+    geom = medium.geometry
+    digest = hashlib.sha256(type(geom).__name__.encode())
+    for f in fields(geom):
+        value = getattr(geom, f.name)
+        digest.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            digest.update(repr((value.shape, value.dtype.str)).encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        else:
+            digest.update(repr(value).encode())
+    return f"{type(geom).__name__}:{digest.hexdigest()[:16]}"
 
 
 def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
@@ -300,6 +313,50 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     if (res > TOL_EIG).any():
         raise EigensolverError(f"eigenpair residuals exceed tolerance: {res.max():.2e}")
     return SpectrumResult(lams, v, res, opr.medium.epsilon, _geometry_tag(opr.medium), meta)
+
+
+def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
+    """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending.
+
+    ``A`` is Hermitian positive semi-definite and ``mass`` positive, so the
+    shift-invert pole sigma = -lam_max / 100 lies below the spectrum: the
+    shifted matrix is definite and a zero eigenvalue (Neumann closure,
+    integer Bloch number) needs no special case.  One factorization serves
+    every call; the number of requested pairs doubles from 16 until the
+    largest returned eigenvalue passes lam_max.  The eigenvectors are
+    orthonormal in the mass inner product, degenerate eigenspaces included.
+    """
+    n = A.shape[0]
+    M = sp.diags(mass).tocsc()
+    sigma = -1e-2 * lam_max
+    try:
+        lu = spla.splu((A - sigma * M).tocsc())
+    except RuntimeError as exc:
+        raise EigensolverError(f"shift-invert factorization failed: {exc}") from exc
+    OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=lu.U.dtype)
+    k = min(16, n - 2)
+    while True:
+        try:
+            w, v = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=OPinv, which="LM",
+                              maxiter=MAX_EIG_ITER)
+        except spla.ArpackNoConvergence as exc:
+            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        if w.max() > lam_max:
+            break
+        if k == n - 2:
+            raise EigensolverError(f"more than {k} eigenvalues below {lam_max}: "
+                                   "the window holds nearly the whole grid")
+        k = min(2 * k, n - 2)
+    order = np.argsort(w)
+    keep = order[w[order] <= lam_max]
+    # re-orthonormalize in the mass inner product: the complex (Arnoldi)
+    # path returns a degenerate eigenspace in an arbitrary basis
+    root = np.sqrt(mass)[:, None]
+    y = root * v[:, keep]
+    q, r = np.linalg.qr(y / np.linalg.norm(y, axis=0))
+    if keep.size and np.min(np.abs(np.diag(r))) < 1e-8:
+        raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
+    return w[keep], q / root
 
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:

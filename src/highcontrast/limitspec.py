@@ -1,14 +1,24 @@
 """Limit spectrum of the high-contrast operator on grid geometries.
 
-As the contrast grows, eigenvalues accumulate on two families.  The
-``constant_trace`` family consists of roots of det T(lambda) = 0, where T
-is the m x m matrix of interface fluxes of exterior Helmholtz solves with
-unit constant data on one interface at a time, shifted by lambda times
-the inclusion volumes; the eigenfunctions are constant (c_i) on the
-inclusions.  The ``zero_flux`` family consists of eigenvalues of the
-exterior problem with zero data on all interfaces whose eigenspaces
-contain functions with vanishing total flux through every interface;
-those eigenfunctions vanish identically on the inclusions.
+At epsilon = 0 the inclusions carry one constant c_i each, so the
+effective operator couples the exterior Helmholtz problem to m unknowns.
+Its spectrum is that of one Hermitian pencil on the exterior cells plus
+the inclusion constants,
+
+    A = [[K_EE, K_EG C], [C^H K_EG^H, C^H diag(K_GG_out) C]],
+    M = diag(vol I, |inclusion_1|, ..., |inclusion_m|),
+
+where C spreads c_i over the interface faces of inclusion i.  The first
+block row is the exterior Helmholtz equation with trace data c; the last
+m rows say that the flux out of inclusion i plus lambda c_i |inclusion_i|
+vanishes.  Eigenvectors with c != 0 form the ``constant_trace`` family
+(eigenfunctions constant on the inclusions; their eigenvalues are the
+roots of det T(lambda), see :class:`CharacteristicDeterminant`).
+Eigenvectors with c = 0 form the ``zero_flux`` family: exterior
+eigenfunctions with zero data on every interface and vanishing total flux
+through each one, which vanish identically on the inclusions.  Inside a
+degenerate eigenvalue cluster the two families are split by an SVD of the
+c block.
 
 Everything here works on the cell grids of :mod:`highcontrast.fdm`; the
 exterior block and interface couplings are shared with the
@@ -20,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._roots import POLE_MARGIN, scan_roots
+from ._roots import POLE_MARGIN
 from .dtn import _unit_stiffness_blocks
-from .fdm import build_grid
+from .fdm import build_grid, eigenpairs_below
 from .geometry import ContrastMedium, GeometryError
 
 __all__ = [
@@ -46,8 +55,8 @@ __all__ = [
     "write_limit_csv",
 ]
 
-TOL_ROOT = 1e-10        # eigenvalue bracketing tolerance
 TOL_FLUX = 1e-6         # base zero-flux filter tolerance (scaled)
+TOL_TRACE = 1e-6        # mass share on the inclusions below which c = 0
 CLUSTER_TOL = 1e-6      # eigenvalue cluster / collision reporting width
 DELTA_K = 1e-3          # exclusion margin around integer Bloch numbers
 LAM_FLOOR = 1e-8        # strictly positive spectrum only
@@ -80,11 +89,13 @@ class LimitEigenpair:
 
 @dataclass(frozen=True)
 class LimitSpectrum:
-    """Collected limit eigenpairs plus scan diagnostics.
+    """Collected limit eigenpairs plus diagnostics.
 
     ``excluded`` lists (lambda, flux magnitude) of exterior eigendirections
-    that failed the zero-flux filter; ``unresolved`` lists determinant
-    roots too close to an exterior resonance to classify.
+    that failed the zero-flux filter of :func:`zero_flux_branch`;
+    ``clusters`` lists (lowest, highest) eigenvalue of each degenerate
+    cluster, resolved by the c-block SVD.  ``unresolved`` stays empty: the
+    pencil leaves no root unclassified.
     """
 
     pairs: tuple
@@ -105,9 +116,7 @@ class ExteriorSystem:
     """Exterior block of the interface-augmented grid system.
 
     Cells outside the inclusions plus the interface trace couplings, at
-    unit coefficient, with the medium's outer closure.  Caches the
-    exterior eigendecomposition (zero interface data), whose eigenvalues
-    are the poles of the characteristic determinant.
+    unit coefficient, with the medium's outer closure.
     """
 
     medium: ContrastMedium
@@ -120,7 +129,6 @@ class ExteriorSystem:
     K_GG_out: np.ndarray
     C: np.ndarray
     measures: np.ndarray            # discrete inclusion volumes
-    _eig_cache: tuple = None
 
     @property
     def vol(self) -> float:
@@ -137,15 +145,19 @@ class ExteriorSystem:
         per_face = kg * phi + self.K_EG.T.conj() @ u_ext
         return -(self.C.T @ per_face)
 
+    def pencil(self):
+        """Limit pencil (A, mass): exterior cells, then one constant per inclusion."""
+        KC = self.K_EG @ sp.csc_matrix(self.C)
+        A = sp.bmat([[self.K_EE, KC],
+                     [KC.T.conj(), sp.diags(self.C.T @ self.K_GG_out)]], format="csc")
+        mass = np.concatenate([np.full(self.K_EE.shape[0], self.vol), self.measures])
+        return A, mass
+
     def exterior_eigs(self, lam_max: float):
-        """Exterior eigenpairs (zero interface data) up to lam_max, cached."""
-        if self._eig_cache is None or self._eig_cache[0] < lam_max:
-            dense = (self.K_EE / self.vol).toarray()
-            w, v = sla.eigh(dense)
-            self._eig_cache = (max(lam_max, w[-1]), w, v)
-        _, w, v = self._eig_cache
-        keep = w <= lam_max
-        return w[keep], v[:, keep]
+        """Exterior eigenpairs (zero interface data) up to lam_max, unit-norm vectors."""
+        w, v = eigenpairs_below(self.K_EE, np.full(self.K_EE.shape[0], self.vol),
+                                lam_max)
+        return w, v * np.sqrt(self.vol)
 
     def helmholtz_factor(self, lam):
         shift = self.K_EE - lam * self.vol * sp.identity(
@@ -192,7 +204,8 @@ class CharacteristicDeterminant:
     solve with unit data on interface j) + delta_ij * lambda * |inclusion i|.
 
     Symmetric (Hermitian under Bloch) for real lambda away from the pole
-    set of exterior eigenvalues.
+    set of exterior eigenvalues.  Its zeros are the constant-trace limit
+    eigenvalues; it serves as an independent check of the pencil.
     """
 
     def __init__(self, ext: ExteriorSystem, lam_max: float):
@@ -217,26 +230,30 @@ class CharacteristicDeterminant:
         return float(np.real(d))
 
 
+def _full_field(ext: ExteriorSystem, u_ext: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Cell-grid vector: u_ext on the exterior cells, c_i on inclusion i."""
+    u = np.zeros(ext.grid.ncells, dtype=np.result_type(u_ext, c))
+    u[ext.idx_out] = u_ext
+    for i in range(ext.n_inclusions):
+        u[ext.grid.labels == i + 1] = c[i]
+    return u
+
+
 def exterior_helmholtz_solve(medium: ContrastMedium, lam: float, c: np.ndarray,
                              n: int = None, ext: ExteriorSystem = None) -> np.ndarray:
     """Full-grid exterior Helmholtz solution with constant data c_i per interface.
 
     Raises :class:`ResonanceError` when lambda sits on an exterior
-    eigenvalue (the determinant scan never asks for those).
+    eigenvalue.
     """
     ext = ext or build_exterior(medium, n)
     poles = ext.exterior_eigs(abs(lam) * 1.2 + 1.0)[0]
     if poles.size and np.min(np.abs(poles - lam)) < POLE_MARGIN * max(1.0, abs(lam)):
         raise ResonanceError(f"lambda={lam} is an exterior resonance")
     c = np.asarray(c, dtype=complex if ext.K_EE.dtype.kind == "c" else float)
-    phi = ext.C @ c
     lu = ext.helmholtz_factor(lam)
-    u_ext = lu.solve(np.asarray(-(ext.K_EG @ phi), dtype=lu.U.dtype))
-    u = np.zeros(ext.grid.ncells, dtype=u_ext.dtype)
-    u[ext.idx_out] = u_ext
-    for i in range(ext.n_inclusions):
-        u[ext.grid.labels == i + 1] = c[i]
-    return u
+    u_ext = lu.solve(np.asarray(-(ext.K_EG @ (ext.C @ c)), dtype=lu.U.dtype))
+    return _full_field(ext, u_ext, c)
 
 
 def _normalize_direction(c: np.ndarray) -> np.ndarray:
@@ -252,46 +269,74 @@ def _normalize_direction(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _complete_root(ext: ExteriorSystem, cd: CharacteristicDeterminant,
-                   lam: float) -> LimitEigenpair:
-    T = cd.matrix(lam)
-    _, s, vh = np.linalg.svd(T)
-    c = _normalize_direction(vh[-1].conj())
-    phi = ext.C @ c
-    lu = ext.helmholtz_factor(lam)
-    u_ext = lu.solve(np.asarray(-(ext.K_EG @ phi), dtype=lu.U.dtype))
-    u = np.zeros(ext.grid.ncells, dtype=u_ext.dtype)
-    u[ext.idx_out] = u_ext
-    for i in range(ext.n_inclusions):
-        u[ext.grid.labels == i + 1] = c[i]
-    scale = max(np.max(np.abs(T)), 1.0)
-    flux_res = float(np.linalg.norm(T @ c) / scale)
-    shift = ext.K_EE @ u_ext - lam * ext.vol * u_ext + ext.K_EG @ phi
-    pde_res = float(np.linalg.norm(shift) /
-                    (ext.vol * max(lam, 1.0) * max(np.linalg.norm(u_ext), 1e-300)))
-    return LimitEigenpair(float(lam), c, u, "constant_trace", flux_res, pde_res)
+def _cluster_bounds(w: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of sorted eigenvalues closer than CLUSTER_TOL."""
+    breaks = np.nonzero(np.diff(w) >= CLUSTER_TOL * np.maximum(1.0, w[1:]))[0] + 1
+    edges = [0, *breaks.tolist(), len(w)]
+    return [(i, j) for i, j in zip(edges[:-1], edges[1:]) if i < j]
+
+
+def _cluster_report(lams) -> tuple:
+    lams = np.asarray(lams)
+    return tuple((float(lams[i]), float(lams[j - 1]))
+                 for i, j in _cluster_bounds(lams) if j - i > 1)
+
+
+def _pencil_pair(ext: ExteriorSystem, A, mass: np.ndarray, x: np.ndarray,
+                 lam: float, trace: bool) -> LimitEigenpair:
+    """Eigenpair record from a pencil eigenvector, residuals from the pencil rows."""
+    nE = ext.K_EE.shape[0]
+    if trace:
+        c = _normalize_direction(x[nE:])
+        j = int(np.argmax(np.abs(c)))
+        x = x * (c[j] / x[nE + j])
+        x[nE:] = c
+    else:
+        c = np.zeros(ext.n_inclusions)
+        x = x.copy()
+        x[nE:] = 0.0
+        x /= np.linalg.norm(x) * np.sqrt(ext.vol)
+    u_ext = x[:nE]
+    r = A @ x - lam * (mass * x)
+    scale = max(lam, 1.0)
+    pde = float(np.linalg.norm(r[:nE]) / (ext.vol * scale * np.linalg.norm(u_ext)))
+    flux = float(np.linalg.norm(r[nE:]) / (scale * np.linalg.norm(mass * x)))
+    return LimitEigenpair(lam, c, _full_field(ext, u_ext, c),
+                          "constant_trace" if trace else "zero_flux", flux, pde)
+
+
+def _pencil_spectrum(ext: ExteriorSystem, lam_max: float) -> LimitSpectrum:
+    """Every limit eigenpair on (0, lam_max] from one sparse pencil solve."""
+    if lam_max <= 0:
+        raise ValueError("lam_max must be > 0")
+    A, mass = ext.pencil()
+    w, X = eigenpairs_below(A, mass, lam_max)
+    keep = w > LAM_FLOOR
+    w, X = w[keep], X[:, keep]
+    nE = ext.K_EE.shape[0]
+    weight = np.sqrt(mass[nE:])[:, None]
+    pairs = []
+    for i, j in _cluster_bounds(w):
+        # rotate the cluster so each vector's c block is a singular direction;
+        # the singular value is the vector's mass share on the inclusions
+        _, s, vh = np.linalg.svd(weight * X[nE:, i:j])
+        V = X[:, i:j] @ vh.conj().T
+        share = np.concatenate([s, np.zeros(j - i - s.size)])
+        for d in range(j - i):
+            x = V[:, d]
+            lam = float(np.real(np.vdot(x, A @ x)))    # Rayleigh quotient, M-unit x
+            pairs.append(_pencil_pair(ext, A, mass, x, lam, share[d] > TOL_TRACE))
+    pairs.sort(key=lambda p: p.lam)
+    return LimitSpectrum(tuple(pairs), clusters=_cluster_report(w))
 
 
 def det_scan(medium: ContrastMedium, lam_max: float, n: int = None,
-             step: float = None, ext: ExteriorSystem = None) -> LimitSpectrum:
-    """Constant-trace limit eigenvalues: roots of det T on (0, lam_max]."""
-    if lam_max <= 0:
-        raise ValueError("lam_max must be > 0")
-    ext = ext or build_exterior(medium, n)
-    cd = CharacteristicDeterminant(ext, lam_max)
-    report = scan_roots(cd, LAM_FLOOR, lam_max, poles=cd.poles,
-                        step=step or lam_max / 512.0, xtol=1e-13,
-                        cluster_tol=CLUSTER_TOL)
-    pairs, unresolved = [], []
-    for r in report.roots:
-        if r <= LAM_FLOOR * 10:
-            continue
-        if cd.poles.size and np.min(np.abs(cd.poles - r)) < CLUSTER_TOL * max(1.0, r):
-            unresolved.append(float(r))
-            continue
-        pairs.append(_complete_root(ext, cd, r))
-    return LimitSpectrum(tuple(pairs), clusters=report.clusters,
-                         unresolved=tuple(unresolved))
+             ext: ExteriorSystem = None) -> LimitSpectrum:
+    """Constant-trace limit eigenvalues on (0, lam_max]: the roots of det T,
+    taken as the pencil eigenpairs with c != 0."""
+    spec = _pencil_spectrum(ext or build_exterior(medium, n), lam_max)
+    pairs = tuple(p for p in spec.pairs if p.branch == "constant_trace")
+    return LimitSpectrum(pairs, clusters=_cluster_report([p.lam for p in pairs]))
 
 
 def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
@@ -306,51 +351,36 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
     """
     ext = ext or build_exterior(medium, n)
     w, v = ext.exterior_eigs(lam_max)
-    m = ext.n_inclusions
+    c0 = np.zeros(ext.n_inclusions)
+    zero_trace = np.zeros(ext.C.shape[0])
     pairs, excluded = [], []
-    i = 0
-    while i < w.size:
-        j = i + 1
-        while j < w.size and w[j] - w[j - 1] < CLUSTER_TOL * max(1.0, w[j]):
-            j += 1
+    for i, j in _cluster_bounds(w):
         lam = float(np.mean(w[i:j]))
-        if lam > LAM_FLOOR:
-            V = v[:, i:j]
-            F = np.column_stack([ext.interface_flux(np.zeros(ext.C.shape[0]), V[:, d])
-                                 for d in range(j - i)])
-            Uf, s, Vh = np.linalg.svd(F, full_matrices=True)
-            s_full = np.concatenate([s, np.zeros(max(0, (j - i) - len(s)))])
-            smax = s_full.max() if s_full.size else 0.0
-            thr = max(TOL_FLUX, ext.grid.h) * max(1.0, smax)
-            for d in range(j - i):
-                sd = s_full[d] if d < s_full.size else 0.0
-                z = Vh.conj().T[:, d]
-                if sd <= thr:
-                    u_ext = V @ z
-                    u_ext = u_ext / (np.linalg.norm(u_ext) * np.sqrt(ext.vol))
-                    u = np.zeros(ext.grid.ncells, dtype=u_ext.dtype)
-                    u[ext.idx_out] = u_ext
-                    flux = np.linalg.norm(ext.interface_flux(
-                        np.zeros(ext.C.shape[0]), u_ext))
-                    res = np.linalg.norm(ext.K_EE @ u_ext - lam * ext.vol * u_ext)
-                    pde = float(res / (ext.vol * max(lam, 1.0) * np.linalg.norm(u_ext)))
-                    pairs.append(LimitEigenpair(lam, np.zeros(m), u,
-                                                "zero_flux", float(flux), pde))
-                else:
-                    excluded.append((lam, float(sd)))
-        i = j
+        if lam <= LAM_FLOOR:
+            continue
+        V = v[:, i:j]
+        F = np.column_stack([ext.interface_flux(zero_trace, V[:, d])
+                             for d in range(j - i)])
+        _, s, Vh = np.linalg.svd(F, full_matrices=True)
+        s_full = np.concatenate([s, np.zeros(max(0, (j - i) - len(s)))])
+        thr = max(TOL_FLUX, ext.grid.h) * max(1.0, s_full.max())
+        for d in range(j - i):
+            if s_full[d] > thr:
+                excluded.append((lam, float(s_full[d])))
+                continue
+            u_ext = V @ Vh.conj().T[:, d]
+            u_ext = u_ext / (np.linalg.norm(u_ext) * np.sqrt(ext.vol))
+            flux = np.linalg.norm(ext.interface_flux(zero_trace, u_ext))
+            res = np.linalg.norm(ext.K_EE @ u_ext - lam * ext.vol * u_ext)
+            pde = float(res / (ext.vol * max(lam, 1.0) * np.linalg.norm(u_ext)))
+            pairs.append(LimitEigenpair(lam, c0, _full_field(ext, u_ext, c0),
+                                        "zero_flux", float(flux), pde))
     return LimitSpectrum(tuple(pairs), excluded=tuple(excluded))
 
 
-def limit_spectrum(medium: ContrastMedium, lam_max: float, n: int = None,
-                   step: float = None) -> LimitSpectrum:
-    """Both limit families on (0, lam_max], merged and sorted by eigenvalue."""
-    ext = build_exterior(medium, n)
-    s2 = det_scan(medium, lam_max, n, step, ext=ext)
-    s1 = zero_flux_branch(medium, lam_max, n, ext=ext)
-    pairs = tuple(sorted(s2.pairs + s1.pairs, key=lambda p: p.lam))
-    return LimitSpectrum(pairs, excluded=s1.excluded,
-                         clusters=s2.clusters, unresolved=s2.unresolved)
+def limit_spectrum(medium: ContrastMedium, lam_max: float, n: int = None) -> LimitSpectrum:
+    """Both limit families on (0, lam_max], sorted by eigenvalue."""
+    return _pencil_spectrum(build_exterior(medium, n), lam_max)
 
 
 def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
@@ -379,39 +409,32 @@ def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
 
 
 def limit_spectrum_neumann(medium: ContrastMedium, lam_max: float,
-                           n: int = None, step: float = None) -> LimitSpectrum:
+                           n: int = None) -> LimitSpectrum:
     """Limit spectrum with the Neumann outer closure; lambda = 0 excluded."""
     if medium.bc.kind != "neumann":
         raise GeometryError("limit_spectrum_neumann needs a Neumann outer condition")
-    return limit_spectrum(medium, lam_max, n, step)
+    return limit_spectrum(medium, lam_max, n)
 
 
 def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
                         n: int = None, ext: ExteriorSystem = None) -> np.ndarray:
-    """Limit resolvent applied to a source: exterior Helmholtz at spectral
-    parameter z coupled to unknown inclusion constants through the flux
-    conditions  flux_i + z c_i |inclusion_i| = -integral of f over inclusion i.
+    """Limit resolvent applied to a source: one sparse solve with A - z M.
+
+    The exterior rows are the Helmholtz equation at spectral parameter z;
+    the constant rows are the flux conditions
+    flux_i + z c_i |inclusion_i| = -integral of f over inclusion i.
     """
     ext = ext or build_exterior(medium, n)
     f = np.asarray(f)
-    dtype = np.result_type(ext.K_EE.dtype, type(z), f.dtype)
-    I_E = sp.identity(ext.K_EE.shape[0], dtype=dtype, format="csc")
-    lu = spla.splu((ext.K_EE.astype(dtype) - z * ext.vol * I_E).tocsc())
-    W = lu.solve(np.asarray(-(ext.K_EG @ ext.C), dtype=dtype))
-    u_f = lu.solve(ext.vol * f[ext.idx_out].astype(dtype))
-    Tz = ext.interface_flux(ext.C.astype(dtype), W)
-    Tz[np.diag_indices_from(Tz)] += z * ext.measures
+    A, mass = ext.pencil()
+    dtype = np.result_type(A.dtype, type(z), f.dtype)
     m = ext.n_inclusions
-    b = np.zeros(m, dtype=dtype)
-    for i in range(m):
-        b[i] = -ext.vol * np.sum(f[ext.grid.labels == i + 1])
-    b -= ext.interface_flux(np.zeros(ext.C.shape[0]), u_f)
-    c = np.linalg.solve(Tz, b)
-    u = np.zeros(ext.grid.ncells, dtype=dtype)
-    u[ext.idx_out] = u_f + W @ c
-    for i in range(m):
-        u[ext.grid.labels == i + 1] = c[i]
-    return u
+    rhs = np.concatenate([f[ext.idx_out],
+                          [np.sum(f[ext.grid.labels == i + 1]) for i in range(m)]])
+    rhs = ext.vol * rhs.astype(dtype)
+    x = spla.splu((A.astype(dtype) - z * sp.diags(mass)).tocsc()).solve(rhs)
+    nE = ext.K_EE.shape[0]
+    return _full_field(ext, x[:nE], x[nE:])
 
 
 def write_limit_csv(path: str, spectrum: LimitSpectrum, m: int) -> None:

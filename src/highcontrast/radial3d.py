@@ -21,7 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._roots import scan_roots
-from .fdm import ALIGN_TOL, EigensolverError, MAX_EIG_ITER, TOL_EIG
+from .fdm import (ALIGN_TOL, EigensolverError, MAX_EIG_ITER, TOL_EIG,
+                  eigenpairs_below)
 from .geometry import GeometryError
 
 __all__ = [
@@ -217,8 +218,6 @@ def sphere_det_scan(a: float, lam_max: float, n_grid: int):
         u = spla.splu((K - lam * M).tocsc()).solve(e0)
         return 4.0 * np.pi * g_if * (u[0] - 1.0) + lam * ball
 
-    w = spla.eigsh(sp.csr_matrix(K), k=min(K.shape[0] - 2, 40), M=M,
-                   sigma=0.0, which="LM", return_eigenvectors=False)
-    poles = sorted(float(x) for x in w if x <= lam_max * 1.05)
+    poles = eigenpairs_below(K, M.diagonal(), lam_max * 1.05)[0]
     report = scan_roots(T, 1e-9, lam_max, poles=poles, xtol=1e-13)
     return list(report.roots)

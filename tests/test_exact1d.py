@@ -27,6 +27,14 @@ def test_scan_roots_finds_all_sine_zeros():
     assert max(rep.residuals) < 1e-12
 
 
+def test_scan_roots_rejects_unlisted_pole():
+    # tan changes sign across its poles at pi/2 and 3 pi/2 as well as at its
+    # root pi; with no pole list only the root may be reported
+    rep = _roots.scan_roots(np.tan, 0.5, 5.0, step=0.05)
+    assert rep.roots == pytest.approx((np.pi,), abs=1e-10)
+    assert max(rep.residuals) < 1e-12
+
+
 def test_scan_windows_avoid_poles():
     wins = _roots.windows_between_poles(0.0, 10.0, [3.0, 7.0])
     assert len(wins) == 3

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -133,3 +137,30 @@ def test_2d_solve_matches_dense_reference():
     u = fdm.solve(opr, f)
     dense = np.linalg.solve(opr.K.toarray(), f * opr.grid.cell_volume)
     assert np.max(np.abs(u - dense)) < 1e-9
+
+
+def test_geometry_tag_sees_the_mask():
+    h = 1 / 16
+    a = rectangles_to_mask(1.0, 1.0, h, [(0.25, 0.75, 0.25, 0.75)])
+    b = rectangles_to_mask(1.0, 1.0, h, [(0.25, 0.5, 0.25, 0.75)])
+    tags = {fdm._geometry_tag(ContrastMedium(Geometry2D(1.0, 1.0, h, m), 1e-2,
+                                             BoundaryKind.dirichlet()))
+            for m in (a, b)}
+    assert len(tags) == 2
+
+
+def test_geometry_tag_is_stable_across_processes():
+    code = ("from highcontrast import fdm\n"
+            "from highcontrast.geometry import *\n"
+            "g = Geometry2D(1.0, 1.0, 1 / 16, rectangles_to_mask("
+            "1.0, 1.0, 1 / 16, [(0.25, 0.75, 0.25, 0.75)]))\n"
+            "print(fdm._geometry_tag(ContrastMedium(g, 1e-2, BoundaryKind.dirichlet())))")
+    src = os.path.dirname(os.path.dirname(fdm.__file__))
+    tags = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        tags.add(out.stdout.strip())
+    assert len(tags) == 1
+    assert tags.pop().startswith("Geometry2D:")

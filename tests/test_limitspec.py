@@ -5,7 +5,7 @@ import pytest
 
 from highcontrast import exact1d, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
-                                   GeometryError)
+                                   Geometry2D, GeometryError, rectangles_to_mask)
 
 SYM = Geometry1D(-1.0, 1.0, ((-0.5, 0.5),))
 TWO = Geometry1D(-1.0, 1.0, ((-0.6, -0.2), (0.2, 0.6)))
@@ -41,6 +41,28 @@ def test_det_scan_matches_exact_oracle(ext_sym):
     assert p.c[0] == pytest.approx(1.0)
     assert p.flux_residual < 1e-8
     assert p.pde_residual < 1e-8
+
+
+def test_pencil_roots_are_zeros_of_det_T():
+    m = med(BoundaryKind.dirichlet(), TWO)
+    ext = limitspec.build_exterior(m, 2000)
+    spec = limitspec.det_scan(m, 120.0, ext=ext)
+    cd = limitspec.CharacteristicDeterminant(ext, 120.0)
+    assert len(spec.pairs) >= 4
+    for p in spec.pairs:
+        s = np.linalg.svd(cd.matrix(p.lam), compute_uv=False)
+        assert s[-1] < 1e-6 * s[0]
+        assert np.allclose(cd.matrix(p.lam) @ p.c, 0.0, atol=1e-6 * s[0])
+
+
+def test_limit_spectrum_is_union_of_both_families(ext_sym):
+    m = med(BoundaryKind.dirichlet())
+    full = limitspec.limit_spectrum(m, 45.0, 1000)
+    parts = np.sort(np.concatenate([
+        limitspec.det_scan(m, 45.0, ext=ext_sym).eigenvalues,
+        limitspec.zero_flux_branch(m, 45.0, ext=ext_sym).eigenvalues]))
+    assert np.allclose(full.eigenvalues, parts, rtol=1e-8)
+    assert full.excluded == ()
 
 
 def test_zero_flux_branch_and_exclusions(ext_sym):
@@ -160,3 +182,17 @@ def test_limit_csv_format(tmp_path, ext_sym):
     lines = path.read_text().splitlines()
     assert lines[0] == "branch,lambda,c_1,flux_residual,pde_residual"
     assert len(lines) == len(spec.pairs) + 1
+
+
+def test_four_corner_double_eigenvalues():
+    """Even-multiplicity constant-trace eigenvalues are all returned."""
+    h, lam_max = 1 / 32, 250.0
+    corners = [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625) for y in (0.125, 0.625)]
+    geom = Geometry2D(1.0, 1.0, h, rectangles_to_mask(1.0, 1.0, h, corners))
+    m = ContrastMedium(geom, 0.0, BoundaryKind.dirichlet())
+    lams = limitspec.limit_spectrum(m, lam_max).eigenvalues
+    assert len(lams) == 8
+    for double in (62.6467, 238.0639):
+        assert np.count_nonzero(np.abs(lams - double) < 1e-3) == 2
+    grid = fdm.smallest_eigenpairs(fdm.assemble(m.with_epsilon(1e-7)), 12).eigenvalues
+    assert np.count_nonzero(grid <= lam_max) == len(lams)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from highcontrast import radial3d
 from highcontrast.geometry import GeometryError
@@ -87,3 +88,19 @@ def test_det_scan_matches_closed_form():
     ref = [l for l, _ in radial3d.sphere_limit_spectrum(A, 45.0)[0]]
     assert len(got) == len(ref)
     assert np.allclose(got, ref, rtol=1e-5)
+
+
+def test_det_scan_interlaces_poles_beyond_forty():
+    """Past the 40th exterior eigenvalue every root still sits between poles."""
+    lam_max = 8e4
+    K, M, _ = radial3d._exterior_radial(A, 400)
+    poles = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    roots = np.array(radial3d.sphere_det_scan(A, lam_max, 400))
+    inside = poles[poles <= lam_max]
+    assert inside.size > 40
+    # one root below the first pole, then exactly one per pole interval
+    assert roots.size in (inside.size, inside.size + 1)
+    assert np.all(roots[:inside.size] < inside)
+    assert np.all(inside[:roots.size - 1] < roots[1:])
+    gap = np.min(np.abs(roots[:, None] - poles[None, :]) / poles[None, :])
+    assert gap > 1e-6
