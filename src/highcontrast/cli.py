@@ -65,8 +65,6 @@ CONFIG_SCHEMA = {
                      "minItems": 1},
         "k_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "branch_count": {"type": "integer", "minimum": 1},
-        "branch": {"type": "integer", "minimum": 1},
-        "refine": {"type": "array", "items": {"type": "integer", "minimum": 4}},
     },
     "required": ["medium"],
     "additionalProperties": False,
@@ -186,7 +184,7 @@ def run_limit(cfg: dict, out: str, fmt: str = "csv") -> dict:
             "unresolved": list(spec.unresolved)}
 
 
-def run_dispersion(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
+def run_dispersion(cfg: dict, out: str, fmt: str = "csv") -> dict:
     """Band structure over the configured Bloch-number and contrast grids."""
     med = _medium(cfg)
     k_grid = cfg.get("k_grid")
@@ -317,26 +315,36 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
 
     if isinstance(geom, (Geometry1D, Geometry2D)):
         n = _grid_n(cfg, med) if isinstance(geom, Geometry1D) else None
+        neumann = med.bc.kind == "neumann"
+        # the reduction is contrast-free, so one system serves every check
+        # and contrast below; a failed build fails each check that uses it
+        try:
+            shared = None if neumann else dtn.build_dtn(med, n)
+        except Exception as exc:                   # failures are data here
+            shared = exc
+
+        def dtn_system():
+            if isinstance(shared, Exception):
+                raise shared
+            return shared
 
         def dtn_identity():
+            if neumann:
+                return True, "skipped (Neumann closure has no trace reduction)"
+            sysd = dtn_system()
+            f = np.where(sysd.grid.labels > 0, 1.0, 0.5)
             worst = 0.0
             for eps in (1e-1, 1e-3):
-                m = med.with_epsilon(eps)
-                if m.bc.kind == "neumann":
-                    return True, "skipped (Neumann closure has no trace reduction)"
-                sysd = dtn.build_dtn(m, n)
-                f = np.where(sysd.grid.labels > 0, 1.0, 0.5)
                 u, _tr = dtn.apply_Bhat(sysd, eps, f)
-                u2 = fdm.solve(fdm.assemble(m, n), f)
+                u2 = fdm.solve(fdm.assemble(med.with_epsilon(eps), n), f)
                 worst = max(worst, float(np.max(np.abs(u - u2))))
             return worst < 1e-10, f"max deviation {worst:.2e}"
         checks.append(("dtn_identity", dtn_identity))
 
         def np11_negative():
-            if med.bc.kind == "neumann":
+            if neumann:
                 return True, "skipped"
-            sysd = dtn.build_dtn(med.with_epsilon(1.0), n)
-            ev = np.linalg.eigvalsh(sysd.Np11)
+            ev = np.linalg.eigvalsh(dtn_system().Np11)
             return bool(ev.max() < 0), f"largest constants-block eigenvalue {ev.max():.4f}"
         checks.append(("exterior_constants_negative", np11_negative))
 
@@ -404,7 +412,7 @@ def main(argv=None) -> int:
         elif args.task == "limit":
             run_limit(cfg, args.out, args.format)
         elif args.task == "dispersion":
-            run_dispersion(cfg, args.out, args.format, args.jobs)
+            run_dispersion(cfg, args.out, args.format)
         elif args.task == "converge":
             report = run_converge(cfg, args.out, args.format, args.jobs)
             if not report["passed"]:

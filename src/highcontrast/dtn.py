@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fdm import DiscreteOperator, Grid, build_grid
+from .fdm import DiscreteOperator, Grid, build_grid, cell_sigma, face_matrix
 from .geometry import ContrastMedium, GeometryError
 
 __all__ = [
@@ -61,7 +61,7 @@ class DtNSystem:
 
     medium: ContrastMedium
     grid: Grid
-    gamma_faces: tuple            # Face records in dof order
+    gamma_faces: np.ndarray       # face-table indices of the interface dofs
     inclusion_of_face: np.ndarray
     Nm: np.ndarray = field(repr=False)
     Np: np.ndarray = field(repr=False)
@@ -84,21 +84,6 @@ class DtNSystem:
     @property
     def n_faces(self) -> int:
         return self.C.shape[0]
-
-    # descriptive aliases for the interface operators
-    @property
-    def N_minus(self) -> np.ndarray:
-        return self.Nm
-
-    @property
-    def N_plus(self) -> np.ndarray:
-        return self.Np
-
-    def M_minus(self, f_minus: np.ndarray) -> np.ndarray:
-        return self.Mm(f_minus)
-
-    def M_plus(self, f_plus: np.ndarray) -> np.ndarray:
-        return self.Mp(f_plus)
 
     @property
     def a_constants(self) -> np.ndarray:
@@ -165,68 +150,55 @@ def split_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interface_dofs(grid: Grid):
-    """Interface faces in dof order (grouped by inclusion) and their labels."""
-    faces = [f for f in grid.faces if f.inclusion > 0]
-    faces.sort(key=lambda f: f.inclusion)
-    incl = np.array([f.inclusion for f in faces])
-    return tuple(faces), incl
+    """Face-table indices of the interface faces in dof order (grouped by
+    inclusion) and their inclusion labels."""
+    incl = grid.faces.inclusion
+    sel = np.nonzero(incl > 0)[0]
+    gamma = sel[np.argsort(incl[sel], kind="stable")]
+    return gamma, incl[gamma]
 
 
-def _unit_stiffness_blocks(medium: ContrastMedium, grid: Grid):
+def _unit_stiffness_blocks(grid: Grid):
     """Contrast-free stiffness blocks of the augmented (cells + face dofs) system.
 
     Interior and exterior parts are assembled with coefficient 1; the
     contrast enters only as the 1/eps factor multiplying the interior
-    part, which is what makes the interface equation affine in eps.
+    part, which is what makes the interface equation affine in eps.  Each
+    interface face ties its two cells to its dof by half-cell conductances.
     """
-    h, dim = grid.h, grid.dim
-    area = h**(dim - 1)
+    t = grid.faces
+    area = grid.h**(grid.dim - 1)
+    g_half = 2.0 / grid.h * area  # half-cell conductance at unit coefficient
+    g_full = 1.0 / grid.h * area
     gamma, incl_of = interface_dofs(grid)
-    gindex = {(f.cin, f.cout): g for g, f in enumerate(gamma)}
-
     idx_in, idx_out = split_cells(grid)
-    loc_in = {c: i for i, c in enumerate(idx_in)}
-    loc_out = {c: i for i, c in enumerate(idx_out)}
-    nG = len(gamma)
-    use_complex = medium.bc.kind == "bloch"
-    dtype = complex if use_complex else float
+    loc = np.empty(grid.ncells, dtype=int)
+    loc[idx_in] = np.arange(idx_in.size)
+    loc[idx_out] = np.arange(idx_out.size)
+    nG = gamma.size
+    plain = t.inclusion == 0
+    inside = grid.labels[t.cin] > 0
 
-    def blocks(n):
-        return (sp.lil_matrix((n, n), dtype=dtype), sp.lil_matrix((n, nG), dtype=dtype),
-                np.zeros(nG))
+    def side(n, faces, tied):
+        """Cell block of one side (its own faces plus the half-cell closures
+        onto the dofs) and its coupling to the dofs."""
+        cout = t.cout[faces]
+        K = face_matrix(n,
+                        np.concatenate([loc[t.cin[faces]], loc[tied]]),
+                        np.concatenate([np.where(cout >= 0, loc[cout], -1),
+                                        np.full(nG, -1)]),
+                        np.concatenate([np.where(cout >= 0, g_full, g_half),
+                                        np.full(nG, g_half)]),
+                        np.concatenate([t.phase[faces], np.ones(nG)]))
+        K_G = sp.csr_matrix((np.full(nG, -g_half, dtype=t.phase.dtype),
+                             (loc[tied], np.arange(nG))), shape=(n, nG))
+        return K.tocsc(), K_G
 
-    K_II, K_IG, K_GG_in = blocks(len(idx_in))
-    K_EE, K_EG, K_GG_out = blocks(len(idx_out))
-    g_half = 2.0 / h * area  # half-cell conductance at unit coefficient
-
-    for f in grid.faces:
-        if f.inclusion > 0:
-            g = gindex[(f.cin, f.cout)]
-            i = loc_in[f.cin]
-            K_II[i, i] += g_half
-            K_IG[i, g] -= g_half
-            K_GG_in[g] += g_half
-            e = loc_out[f.cout]
-            K_EE[e, e] += g_half
-            K_EG[e, g] -= g_half
-            K_GG_out[g] += g_half
-        elif f.cout == -1:
-            e = loc_out[f.cin]
-            K_EE[e, e] += g_half  # Dirichlet half-cell closure, sigma = 1
-        else:
-            inside = grid.labels[f.cin] > 0
-            g = 1.0 / h * area
-            if inside:
-                a, b = loc_in[f.cin], loc_in[f.cout]
-                K_II[a, a] += g; K_II[b, b] += g
-                K_II[a, b] -= g * np.conj(f.phase); K_II[b, a] -= g * f.phase
-            else:
-                a, b = loc_out[f.cin], loc_out[f.cout]
-                K_EE[a, a] += g; K_EE[b, b] += g
-                K_EE[a, b] -= g * np.conj(f.phase); K_EE[b, a] -= g * f.phase
+    K_II, K_IG = side(idx_in.size, np.nonzero(plain & inside)[0], t.cin[gamma])
+    K_EE, K_EG = side(idx_out.size, np.nonzero(plain & ~inside)[0], t.cout[gamma])
     return (gamma, incl_of, idx_in, idx_out,
-            K_II.tocsc(), K_IG.tocsr(), K_GG_in,
-            K_EE.tocsc(), K_EG.tocsr(), K_GG_out)
+            K_II, K_IG, np.full(nG, g_half),
+            K_EE, K_EG, np.full(nG, g_half))
 
 
 def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
@@ -239,10 +211,9 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     if medium.bc.kind == "neumann":
         raise GeometryError("Neumann outer conditions use the limit-source pathway "
                             "(limitspec.solve_limit_neumann)")
-    probe = medium if medium.epsilon > 0 else medium.with_epsilon(1.0)
-    grid = build_grid(probe, n)
+    grid = build_grid(medium, n)
     (gamma, incl_of, idx_in, idx_out,
-     K_II, K_IG, K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(probe, grid)
+     K_II, K_IG, K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(grid)
 
     try:
         in_lu = spla.splu(K_II)
@@ -256,9 +227,7 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     Np = -Sout
 
     m = int(incl_of.max())
-    C = np.zeros((nG, m))
-    for i in range(1, m + 1):
-        C[incl_of == i, i - 1] = 1.0
+    C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
     # orthonormal basis of the per-inclusion zero-mean subspace
     zs = []
     for i in range(1, m + 1):
@@ -372,26 +341,13 @@ def analyticity_probe(sys: DtNSystem, f: np.ndarray, eps_list, degree: int) -> d
             "eps_list": eps_list.tolist()}
 
 
-def export_blocks(sys: DtNSystem, directory: str) -> None:
-    """Debug dump of the dense interface operators as CSV matrices."""
-    import os
-    for name, mat in (("N_minus", sys.Nm), ("N_plus", sys.Np),
-                      ("Np11", sys.Np11), ("Nm22", sys.Nm22)):
-        mat = np.atleast_2d(mat)
-        if np.iscomplexobj(mat):
-            np.savetxt(os.path.join(directory, f"{name}_re.csv"), mat.real, delimiter=",")
-            np.savetxt(os.path.join(directory, f"{name}_im.csv"), mat.imag, delimiter=",")
-        else:
-            np.savetxt(os.path.join(directory, f"{name}.csv"), mat, delimiter=",")
-
-
 def trace_on_interface(sys: DtNSystem, opr: DiscreteOperator, u: np.ndarray) -> np.ndarray:
     """Interface trace implied by a cell solution of the assembled operator.
 
     The face value follows from discrete flux continuity between the two
     adjacent cells: phi = (s_in u_in + s_out u_out) / (s_in + s_out).
     """
-    phi = np.zeros(sys.n_faces, dtype=u.dtype)
-    for g, fc in enumerate(sys.gamma_faces):
-        phi[g] = (fc.sig_in * u[fc.cin] + fc.sig_out * u[fc.cout]) / (fc.sig_in + fc.sig_out)
-    return phi
+    t, sel = sys.grid.faces, sys.gamma_faces
+    sig = cell_sigma(opr.medium, opr.grid)
+    s_in, s_out = sig[t.cin[sel]], sig[t.cout[sel]]
+    return (s_in * u[t.cin[sel]] + s_out * u[t.cout[sel]]) / (s_in + s_out)

@@ -34,7 +34,6 @@ __all__ = [
     "eigenpairs_below",
     "solve",
     "flux_on_interface",
-    "export_matrix",
 ]
 
 TOL_EIG = 1e-8
@@ -52,23 +51,24 @@ class EigensolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Face:
-    """One face of the cell grid.
+class FaceTable:
+    """Struct-of-arrays table of the grid faces; it carries no coefficient,
+    so one table serves every contrast.
 
-    ``cin``/``cout`` are flat cell indices; ``cout`` is -1 for outer
-    boundary faces.  ``sig_in``/``sig_out`` are the adjacent cell
-    coefficients (``sig_out`` repeats ``sig_in`` on boundary faces).
-    ``inclusion`` is the interface label (0 if not an interface face) with
-    ``cin`` on the inclusion side; ``phase`` is the Bloch factor on wrap
-    faces (1 otherwise).
+    ``cin``/``cout`` are flat cell indices; ``cout`` is -1 on Dirichlet
+    boundary faces.  ``inclusion`` is the interface label (0 if not an
+    interface face) with ``cin`` on the inclusion side; ``phase`` is the
+    Bloch factor on wrap faces and 1 elsewhere (complex only under Bloch
+    conditions).
     """
 
-    cin: int
-    cout: int
-    sig_in: float
-    sig_out: float
-    inclusion: int = 0
-    phase: complex = 1.0
+    cin: np.ndarray
+    cout: np.ndarray
+    inclusion: np.ndarray
+    phase: np.ndarray
+
+    def __len__(self) -> int:
+        return self.cin.size
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class Grid:
     h: float
     labels: np.ndarray          # region per flat cell (0 exterior, i inclusions)
     centers: np.ndarray         # (ncells,) or (ncells, 2)
-    faces: tuple[Face, ...]
+    faces: FaceTable
     shape: tuple[int, ...]
 
     @property
@@ -90,18 +90,60 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h**self.dim
 
-    def interface_faces(self, i: int) -> list[Face]:
-        out = [f for f in self.faces if f.inclusion == i]
-        if not out:
+    def interface_faces(self, i: int) -> np.ndarray:
+        """Face-table indices of the interface of inclusion i."""
+        out = np.nonzero(self.faces.inclusion == i)[0]
+        if not out.size:
             raise GeometryError(f"no interface faces for inclusion {i}")
         return out
 
 
+def _face_table(labels: np.ndarray, shape: tuple[int, ...], bc: BoundaryKind,
+                lengths: tuple[float, ...]) -> FaceTable:
+    """Faces of a cell grid of the given shape, by slicing its index array.
+
+    Per axis: the faces between neighbouring cells, then the outer closure
+    (one Dirichlet face per boundary cell, or one wrap face from the last
+    to the first cell with phase exp(-i k L)).
+    """
+    idx = np.arange(labels.size).reshape(shape)
+    lo, hi, edge = [], [], []
+    for ax in range(len(shape)):
+        v = np.moveaxis(idx, ax, 0)
+        lo.append(v[:-1].ravel())
+        hi.append(v[1:].ravel())
+        edge.append((v[0].ravel(), v[-1].ravel()))
+    a, b = np.concatenate(lo), np.concatenate(hi)
+    la, lb = labels[a], labels[b]
+    swap = lb > la                       # the inclusion-side cell goes first
+    cin = [np.where(swap, b, a)]
+    cout = [np.where(swap, a, b)]
+    inclusion = [np.where(la != lb, np.maximum(la, lb), 0)]
+    phase = [np.ones(a.size)]
+    if bc.kind == "dirichlet":
+        for first, last in edge:
+            cells = np.concatenate([first, last])
+            cin.append(cells)
+            cout.append(np.full(cells.size, -1))
+            inclusion.append(np.zeros(cells.size, dtype=int))
+            phase.append(np.ones(cells.size))
+    elif bc.kind == "bloch":
+        ks = bc.k if isinstance(bc.k, tuple) else (bc.k,) * len(shape)
+        # the row of the last cell couples to the periodic image of the first
+        for (first, last), k, length in zip(edge, ks, lengths):
+            cin.append(last)
+            cout.append(first)
+            inclusion.append(np.zeros(last.size, dtype=int))
+            phase.append(np.full(last.size, np.exp(-1j * k * length)))
+    return FaceTable(*(np.concatenate(x) for x in (cin, cout, inclusion, phase)))
+
+
 def build_grid(medium: ContrastMedium, n: int = None) -> Grid:
-    """Cell grid with the face list for the medium; 1D needs the cell count."""
+    """Cell grid with the face table of the medium; 1D needs the cell count.
+
+    The contrast is not read: the grid serves every epsilon, 0 included.
+    """
     geom = medium.geometry
-    bc = medium.bc
-    sig_out_val, sig_in_val = medium.sigma_values
     if isinstance(geom, Geometry1D):
         if n is None:
             raise GeometryError("1D grids need an explicit cell count n")
@@ -113,77 +155,57 @@ def build_grid(medium: ContrastMedium, n: int = None) -> Grid:
             if not (0 < j < n) or abs(face_x[j] - p) > ALIGN_TOL * (hi - lo):
                 raise GeometryError(f"interface {p} does not align with a cell face (n={n})")
         centers = lo + h * (np.arange(n) + 0.5)
-        labels = np.array([geom.region_of(x) for x in centers])
-        sig = np.where(labels > 0, sig_in_val, sig_out_val)
-        faces = []
-        for j in range(1, n):
-            la, lb = labels[j - 1], labels[j]
-            incl = 0
-            cin, cout = j - 1, j
-            if la != lb:
-                incl = int(max(la, lb))
-                if lb == incl:
-                    cin, cout = j, j - 1
-            faces.append(Face(cin, cout, sig[cin], sig[cout], incl))
-        if bc.kind == "dirichlet":
-            faces.append(Face(0, -1, sig[0], sig[0]))
-            faces.append(Face(n - 1, -1, sig[n - 1], sig[n - 1]))
-        elif bc.kind == "bloch":
-            period = hi - lo
-            phase = np.exp(-1j * bc.k * period)
-            # row of the last cell couples to the periodic image of cell 0
-            faces.append(Face(n - 1, 0, sig[n - 1], sig[0], 0, phase))
-        return Grid(1, h, labels, centers, tuple(faces), (n,))
+        # odd slots between the sorted interface points lie inside an inclusion
+        slot = np.searchsorted(np.asarray(geom.interfaces), centers)
+        labels = np.where(slot % 2 == 1, (slot + 1) // 2, 0)
+        faces = _face_table(labels, (n,), medium.bc, (hi - lo,))
+        return Grid(1, h, labels, centers, faces, (n,))
 
     if isinstance(geom, Geometry2D):
         nx, ny = geom.shape
         h = geom.h
-        labels2 = geom.mask
-        labels = labels2.ravel()
-        sig = np.where(labels > 0, sig_in_val, sig_out_val)
+        labels = geom.mask.ravel()
         xs = (np.arange(nx) + 0.5) * h
         ys = (np.arange(ny) + 0.5) * h
         centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        idx = lambda ix, iy: ix * ny + iy
-        faces = []
-        for ix in range(nx):
-            for iy in range(ny):
-                for dx, dy in ((1, 0), (0, 1)):
-                    jx, jy = ix + dx, iy + dy
-                    if jx < nx and jy < ny:
-                        a, b = idx(ix, iy), idx(jx, jy)
-                        la, lb = labels[a], labels[b]
-                        incl = 0
-                        cin, cout = a, b
-                        if la != lb:
-                            incl = int(max(la, lb))
-                            if lb == incl:
-                                cin, cout = b, a
-                        faces.append(Face(cin, cout, sig[cin], sig[cout], incl))
-        if bc.kind == "dirichlet":
-            for iy in range(ny):
-                faces.append(Face(idx(0, iy), -1, sig[idx(0, iy)], sig[idx(0, iy)]))
-                faces.append(Face(idx(nx - 1, iy), -1, sig[idx(nx - 1, iy)], sig[idx(nx - 1, iy)]))
-            for ix in range(nx):
-                faces.append(Face(idx(ix, 0), -1, sig[idx(ix, 0)], sig[idx(ix, 0)]))
-                faces.append(Face(idx(ix, ny - 1), -1, sig[idx(ix, ny - 1)], sig[idx(ix, ny - 1)]))
-        elif bc.kind == "bloch":
-            kx, ky = bc.k if isinstance(bc.k, tuple) else (bc.k, bc.k)
-            px = np.exp(-1j * kx * geom.Lx)
-            py = np.exp(-1j * ky * geom.Ly)
-            for iy in range(ny):
-                a, b = idx(nx - 1, iy), idx(0, iy)
-                faces.append(Face(a, b, sig[a], sig[b], 0, px))
-            for ix in range(nx):
-                a, b = idx(ix, ny - 1), idx(ix, 0)
-                faces.append(Face(a, b, sig[a], sig[b], 0, py))
-        return Grid(2, h, labels, centers, tuple(faces), (nx, ny))
+        faces = _face_table(labels, (nx, ny), medium.bc, (geom.Lx, geom.Ly))
+        return Grid(2, h, labels, centers, faces, (nx, ny))
 
     raise GeometryError(f"assembly supports 1D and 2D geometries, not {type(geom)}")
 
 
-def _harm(sa: float, sb: float) -> float:
-    return 2.0 * sa * sb / (sa + sb)
+def cell_sigma(medium: ContrastMedium, grid: Grid) -> np.ndarray:
+    """Coefficient per cell: 1 in the matrix, 1/epsilon in the inclusions."""
+    sig_out, sig_in = medium.sigma_values
+    return np.where(grid.labels > 0, sig_in, sig_out)
+
+
+def face_conductances(medium: ContrastMedium, grid: Grid, sel=slice(None)) -> np.ndarray:
+    """Conductances of the selected faces: harmonic mean of the adjacent cell
+    coefficients over h, times the face measure; a Dirichlet face closes the
+    half cell with 2 sigma / h."""
+    sig = cell_sigma(medium, grid)
+    cin, cout = grid.faces.cin[sel], grid.faces.cout[sel]
+    s_in, s_out = sig[cin], sig[cout]
+    g = np.where(cout >= 0, 2.0 * s_in * s_out / (s_in + s_out), 2.0 * s_in)
+    return g / grid.h * grid.h**(grid.dim - 1)
+
+
+def face_matrix(n: int, cin: np.ndarray, cout: np.ndarray, g: np.ndarray,
+                phase: np.ndarray) -> sp.csr_matrix:
+    """Sum over faces of g (e_in - phase e_out)(e_in - phase e_out)^H on n cells.
+
+    A face with ``cout`` = -1 closes on a zero value: it adds g to the
+    diagonal entry of its ``cin`` cell only.
+    """
+    two = cout >= 0
+    a, b, gt, p = cin[two], cout[two], g[two], phase[two]
+    rows = np.concatenate([cin, b, a, b])
+    cols = np.concatenate([cin, b, b, a])
+    vals = np.concatenate([g, gt, -gt * np.conj(p), -gt * p])
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    K.sum_duplicates()
+    return K
 
 
 @dataclass(frozen=True)
@@ -222,26 +244,8 @@ def assemble(medium: ContrastMedium, n: int = None) -> DiscreteOperator:
     if medium.epsilon <= 0:
         raise GeometryError("assembly needs epsilon > 0")
     grid = build_grid(medium, n)
-    h = grid.h
-    area = h**(grid.dim - 1)
-    use_complex = medium.bc.kind == "bloch"
-    rows, cols, vals = [], [], []
-    for f in grid.faces:
-        if f.cout == -1:
-            g = 2.0 * f.sig_in / h * area  # Dirichlet half-cell closure
-            rows.append(f.cin); cols.append(f.cin); vals.append(g)
-            continue
-        g = _harm(f.sig_in, f.sig_out) / h * area
-        rows += [f.cin, f.cout]
-        cols += [f.cin, f.cout]
-        vals += [g, g]
-        rows += [f.cin, f.cout]
-        cols += [f.cout, f.cin]
-        vals += [-g * np.conj(f.phase), -g * f.phase]
-    dtype = complex if use_complex else float
-    K = sp.csr_matrix((np.array(vals, dtype=dtype), (rows, cols)),
-                      shape=(grid.ncells, grid.ncells))
-    K.sum_duplicates()
+    t = grid.faces
+    K = face_matrix(grid.ncells, t.cin, t.cout, face_conductances(medium, grid), t.phase)
     return DiscreteOperator(medium, grid, K)
 
 
@@ -392,17 +396,7 @@ def flux_on_interface(opr: DiscreteOperator, u: np.ndarray, i: int) -> float:
     the matrix rows of the inclusion cells telescopes to the interface).
     """
     grid = opr.grid
-    area = grid.h**(grid.dim - 1)
-    total = 0.0
-    for f in grid.interface_faces(i):
-        g = _harm(f.sig_in, f.sig_out) / grid.h * area
-        total += g * (u[f.cout] - u[f.cin])
-    return complex(total).real if not np.iscomplexobj(u) else total
-
-
-def export_matrix(opr: DiscreteOperator, path: str) -> None:
-    """Debug dump of the stiffness in `i j value` coordinate text format."""
-    coo = opr.K.tocoo()
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v}\n")
+    sel = grid.interface_faces(i)
+    g = face_conductances(opr.medium, grid, sel)
+    total = np.sum(g * (u[grid.faces.cout[sel]] - u[grid.faces.cin[sel]]))
+    return total if np.iscomplexobj(u) else float(total)

@@ -25,7 +25,6 @@ __all__ = [
     "ContrastMedium",
     "GeometryError",
     "measure_inclusion",
-    "coefficient_at",
     "rectangles_to_mask",
     "medium_from_config",
     "refine",
@@ -252,17 +251,6 @@ def measure_inclusion(geom: Geometry, i: int) -> float:
             raise GeometryError("radial geometry has a single inclusion")
         return 4.0 / 3.0 * np.pi * geom.a**3
     raise GeometryError(f"unsupported geometry {type(geom)}")
-
-
-def coefficient_at(medium: ContrastMedium, location) -> float:
-    """Coefficient value sigma at a point: 1 in the matrix, 1/epsilon in inclusions."""
-    outside, inside = medium.sigma_values
-    geom = medium.geometry
-    if isinstance(geom, Geometry2D):
-        region = geom.region_of(*location)
-    else:
-        region = geom.region_of(location)
-    return inside if region else outside
 
 
 def rectangles_to_mask(Lx: float, Ly: float, h: float, rects) -> np.ndarray:

@@ -183,17 +183,14 @@ def build_exterior(medium: ContrastMedium, n: int = None,
     """Exterior system of a medium; the contrast value is irrelevant here."""
     if not allow_integer_k:
         _validate_bloch_k(medium)
-    probe = medium if medium.epsilon > 0 else medium.with_epsilon(1.0)
-    grid = build_grid(probe, n)
+    grid = build_grid(medium, n)
     (gamma, incl_of, idx_in, idx_out,
-     _K_II, _K_IG, _K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(probe, grid)
+     _K_II, _K_IG, _K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(grid)
     m = int(incl_of.max()) if incl_of.size else 0
     if m == 0:
         raise GeometryError("limit spectrum needs at least one inclusion")
-    C = np.zeros((len(gamma), m))
-    for i in range(1, m + 1):
-        C[incl_of == i, i - 1] = 1.0
-    counts = np.array([np.count_nonzero(grid.labels == i) for i in range(1, m + 1)])
+    C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
+    counts = np.bincount(grid.labels, minlength=m + 1)[1:]
     return ExteriorSystem(medium, grid, incl_of, idx_in, idx_out,
                           K_EE.tocsc(), K_EG, K_GG_out, C,
                           counts * grid.cell_volume)
@@ -234,8 +231,7 @@ def _full_field(ext: ExteriorSystem, u_ext: np.ndarray, c: np.ndarray) -> np.nda
     """Cell-grid vector: u_ext on the exterior cells, c_i on inclusion i."""
     u = np.zeros(ext.grid.ncells, dtype=np.result_type(u_ext, c))
     u[ext.idx_out] = u_ext
-    for i in range(ext.n_inclusions):
-        u[ext.grid.labels == i + 1] = c[i]
+    u[ext.idx_in] = np.asarray(c)[ext.grid.labels[ext.idx_in] - 1]
     return u
 
 

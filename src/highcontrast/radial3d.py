@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from ._roots import scan_roots
 from .fdm import (ALIGN_TOL, EigensolverError, MAX_EIG_ITER, TOL_EIG,
-                  eigenpairs_below)
+                  eigenpairs_below, face_matrix)
 from .geometry import GeometryError
 
 __all__ = [
@@ -116,6 +116,27 @@ class RadialOperator:
         return self.labels.size
 
 
+def _weighted_operator(r: np.ndarray, h: float, sig: np.ndarray, closed=()):
+    """r^2-weighted finite-volume stiffness and cell masses on the cells
+    between the face radii ``r``: a 1D face table with face weight r^2 and
+    cell mass the integral of r^2.
+
+    Inner faces carry the harmonic mean of the adjacent cell coefficients
+    times r^2 / h.  ``closed`` lists outer faces (0 or ``len(r) - 1``) that
+    close their cell on a zero value half a cell away: 2 sigma r^2 / h.
+    """
+    n = sig.size
+    inner = np.arange(1, n)               # face j lies between cells j - 1 and j
+    closed = np.asarray(closed, dtype=int)
+    cin = np.concatenate([inner - 1, np.minimum(closed, n - 1)])
+    cout = np.concatenate([inner, np.full(closed.size, -1)])
+    s_in, s_out = sig[cin], sig[cout]
+    g = np.where(cout >= 0, 2.0 * s_in * s_out / (s_in + s_out), 2.0 * s_in)
+    weight = r[np.concatenate([inner, closed])] ** 2
+    K = face_matrix(n, cin, cout, g * weight / h, np.ones(cin.size))
+    return K, (r[1:] ** 3 - r[:-1] ** 3) / 3.0
+
+
 def radial_operator(a: float, eps: float, n_grid: int,
                     bc: str = "dirichlet") -> RadialOperator:
     """Radial discretization with the interface aligned to a cell face."""
@@ -131,19 +152,8 @@ def radial_operator(a: float, eps: float, n_grid: int,
     centers = (faces[:-1] + faces[1:]) / 2.0
     labels = (centers < a).astype(int)
     sig = np.where(labels == 1, 1.0 / eps, 1.0)
-    masses = (faces[1:] ** 3 - faces[:-1] ** 3) / 3.0
-    rows, cols, vals = [], [], []
-    for j in range(1, n_grid):           # interior faces; r = 0 face carries r^2 = 0
-        sa, sb = sig[j - 1], sig[j]
-        g = (2.0 * sa * sb / (sa + sb)) * faces[j] ** 2 / h
-        rows += [j - 1, j, j - 1, j]
-        cols += [j - 1, j, j, j - 1]
-        vals += [g, g, -g, -g]
-    if bc == "dirichlet":
-        g = 2.0 * sig[-1] * faces[-1] ** 2 / h
-        rows.append(n_grid - 1); cols.append(n_grid - 1); vals.append(g)
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(n_grid, n_grid))
-    K.sum_duplicates()
+    K, masses = _weighted_operator(faces, h, sig,
+                                   closed=(n_grid,) if bc == "dirichlet" else ())
     return RadialOperator(a, eps, h, bc, labels, centers, K, masses)
 
 
@@ -190,19 +200,11 @@ def _exterior_radial(a: float, n_grid: int):
     h = 1.0 / n_grid
     j_if = round(a / h)
     faces = h * np.arange(j_if, n_grid + 1)
+    # the closure at r = a is the half-cell tie to the trace dof, the one at
+    # r = 1 the Dirichlet condition
     nE = n_grid - j_if
-    masses = (faces[1:] ** 3 - faces[:-1] ** 3) / 3.0
-    rows, cols, vals = [], [], []
-    for j in range(1, nE):
-        g = faces[j] ** 2 / h
-        rows += [j - 1, j, j - 1, j]
-        cols += [j - 1, j, j, j - 1]
-        vals += [g, g, -g, -g]
-    g_if = 2.0 * a ** 2 / h                 # half-cell tie to the trace dof
-    rows.append(0); cols.append(0); vals.append(g_if)
-    g_out = 2.0 * 1.0 / h                   # Dirichlet closure at r = 1
-    rows.append(nE - 1); cols.append(nE - 1); vals.append(g_out)
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(nE, nE))
+    K, masses = _weighted_operator(faces, h, np.ones(nE), closed=(0, nE))
+    g_if = 2.0 * a ** 2 / h
     return K.tocsc(), sp.diags(masses).tocsc(), g_if
 
 

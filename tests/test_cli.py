@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from highcontrast import cli
+from highcontrast import cli, dtn
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -102,6 +102,36 @@ def test_validate_verdict(tmp_path):
 
 def test_unknown_field_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"medium": med1d(), "frobnicate": 1})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_validate_builds_one_dtn_system(tmp_path, monkeypatch):
+    calls = []
+    build = dtn.build_dtn
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dtn, "build_dtn", counted)
+    verdict = cli.run_validate({"medium": med1d(h=0.005)}, str(tmp_path))
+    assert verdict["passed"] and len(calls) == 1
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("singular block")
+
+    monkeypatch.setattr(dtn, "build_dtn", failing)
+    verdict = cli.run_validate({"medium": med1d(h=0.005)}, str(tmp_path))
+    result = {c["name"]: c for c in verdict["criteria"]}
+    for name in ("dtn_identity", "exterior_constants_negative"):
+        assert not result[name]["passed"]
+        assert "singular block" in result[name]["detail"]
+    assert result["limit_matches_exact"]["passed"]
+
+
+@pytest.mark.parametrize("key, value", [("refine", [8, 16]), ("branch", 1)])
+def test_unread_config_keys_exit_2(tmp_path, key, value):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": med1d(), key: value})
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 

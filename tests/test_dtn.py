@@ -140,7 +140,48 @@ def test_analyticity_probe_residual_decays(mask_sys):
     assert rep["residual_ratio"] < 0.2
 
 
-def test_export_blocks(tmp_path, sym_sys):
-    dtn.export_blocks(sym_sys, str(tmp_path))
-    got = np.loadtxt(tmp_path / "N_minus.csv", delimiter=",")
-    assert np.allclose(got, sym_sys.Nm)
+
+@pytest.mark.parametrize("med, n", [
+    (ContrastMedium(Geometry1D(-1.0, 1.0, ((-0.6, -0.2), (0.2, 0.6))), 1e-2,
+                    BoundaryKind.dirichlet()), 200),
+    (ContrastMedium(Geometry2D(1.0, 1.0, 1 / 16, rectangles_to_mask(
+        1.0, 1.0, 1 / 16, [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625)
+                           for y in (0.125, 0.625)])), 1e-2, BoundaryKind.bloch(0.4)), None)])
+def test_trace_on_interface_matches_face_loop(med, n):
+    sysd = dtn.build_dtn(med, n)
+    opr = fdm.assemble(med, n)
+    labels, shape = sysd.grid.labels, sysd.grid.shape
+    u = np.cos(np.arange(opr.dimension))
+    s_out, s_in = med.sigma_values
+    ref = {}
+    for cell in np.ndindex(shape):
+        for ax in range(len(shape)):
+            nb = list(cell)
+            nb[ax] += 1
+            if nb[ax] == shape[ax]:
+                continue
+            a = np.ravel_multi_index(cell, shape)
+            b = np.ravel_multi_index(tuple(nb), shape)
+            if (labels[a] > 0) != (labels[b] > 0):
+                cin, cout = (a, b) if labels[a] > 0 else (b, a)
+                ref[cin, cout] = (s_in * u[cin] + s_out * u[cout]) / (s_in + s_out)
+    t, sel = sysd.grid.faces, sysd.gamma_faces
+    got = dict(zip(zip(t.cin[sel].tolist(), t.cout[sel].tolist()),
+                   dtn.trace_on_interface(sysd, opr, u)))
+    assert got.keys() == ref.keys()
+    assert max(abs(got[k] - ref[k]) for k in ref) < 1e-14
+
+
+def test_interface_dofs_grouped_by_inclusion():
+    mask = rectangles_to_mask(1.0, 1.0, 1 / 32, [(0.25, 0.75, 0.25, 0.75)])
+    sysd = dtn.build_dtn(ContrastMedium(Geometry2D(1.0, 1.0, 1 / 32, mask), 1e-2,
+                                        BoundaryKind.dirichlet()))
+    assert sysd.n_faces == 64                       # perimeter of 16 x 16 cells
+    corners = [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625) for y in (0.125, 0.625)]
+    mask = rectangles_to_mask(1.0, 1.0, 1 / 32, corners)
+    grid = fdm.build_grid(ContrastMedium(Geometry2D(1.0, 1.0, 1 / 32, mask), 0.0,
+                                         BoundaryKind.dirichlet()))
+    gamma, incl = dtn.interface_dofs(grid)
+    assert np.all(np.diff(incl) >= 0)
+    assert np.bincount(incl).tolist() == [0, 32, 32, 32, 32]
+    assert np.array_equal(grid.faces.inclusion[gamma], incl)

@@ -10,16 +10,73 @@ from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
                                    Geometry2D, GeometryError, rectangles_to_mask)
 
 SYM = Geometry1D(-1.0, 1.0, ((-0.5, 0.5),))
+TWO = Geometry1D(-1.0, 1.0, ((-0.6, -0.2), (0.2, 0.6)))
+CORNERS = [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625) for y in (0.125, 0.625)]
+BCS = [BoundaryKind.dirichlet(), BoundaryKind.neumann(), BoundaryKind.bloch(0.7),
+       BoundaryKind.bloch((0.3, -1.1))]
 
 
 def med1d(eps=1.0, bc=None):
     return ContrastMedium(SYM, eps, bc or BoundaryKind.dirichlet())
 
 
-def med2d(eps=1e-2, h=1 / 16, bc=None):
-    mask = rectangles_to_mask(1.0, 1.0, h, [(0.25, 0.75, 0.25, 0.75)])
+def med2d(eps=1e-2, h=1 / 16, bc=None, rects=((0.25, 0.75, 0.25, 0.75),)):
+    mask = rectangles_to_mask(1.0, 1.0, h, rects)
     g = Geometry2D(1.0, 1.0, h, mask)
     return ContrastMedium(g, eps, bc or BoundaryKind.dirichlet())
+
+
+def loop_grid(med, n=None):
+    """(labels on the cell array, h, outer lengths), straight from the geometry."""
+    geom = med.geometry
+    if isinstance(geom, Geometry1D):
+        h = (geom.x_hi - geom.x_lo) / n
+        labels = np.array([geom.region_of(geom.x_lo + h * (j + 0.5)) for j in range(n)])
+        return labels, h, (geom.x_hi - geom.x_lo,)
+    return geom.mask, geom.h, (geom.Lx, geom.Ly)
+
+
+def loop_faces(med, n=None):
+    """Every face as (cell a, cell b or None, conductance, phase), one at a time."""
+    labels, h, lengths = loop_grid(med, n)
+    sig_out, sig_in = med.sigma_values
+    area = h ** (labels.ndim - 1)
+    bc = med.bc
+    ks = bc.k if isinstance(bc.k, tuple) else (bc.k,) * labels.ndim
+    faces = []
+    for cell in np.ndindex(labels.shape):
+        a = np.ravel_multi_index(cell, labels.shape)
+        sa = sig_in if labels[cell] else sig_out
+        for ax in range(labels.ndim):
+            if cell[ax] == 0 and bc.kind == "dirichlet":
+                faces.append((a, None, 2.0 * sa / h * area, 1.0))
+            nb = list(cell)
+            nb[ax] += 1
+            phase = 1.0
+            if nb[ax] == labels.shape[ax]:
+                if bc.kind == "dirichlet":
+                    faces.append((a, None, 2.0 * sa / h * area, 1.0))
+                if bc.kind != "bloch":
+                    continue
+                nb[ax] = 0
+                phase = np.exp(-1j * ks[ax] * lengths[ax])
+            sb = sig_in if labels[tuple(nb)] else sig_out
+            b = np.ravel_multi_index(tuple(nb), labels.shape)
+            faces.append((a, b, 2.0 * sa * sb / (sa + sb) / h * area, phase))
+    return faces
+
+
+def loop_stiffness(med, n=None):
+    """Per-face loop reference of the assembled stiffness (dense)."""
+    size = loop_grid(med, n)[0].size
+    K = np.zeros((size, size), dtype=complex)
+    for a, b, g, phase in loop_faces(med, n):
+        K[a, a] += g
+        if b is not None:
+            K[b, b] += g
+            K[a, b] -= g * np.conj(phase)
+            K[b, a] -= g * phase
+    return K
 
 
 class TestAssembly:
@@ -118,16 +175,51 @@ def test_flux_balance_for_source_problem():
         assert fdm.flux_on_interface(opr, u, 1) == pytest.approx(-1.0, abs=1e-9 / eps)
 
 
-def test_export_matrix_roundtrip(tmp_path):
-    opr = fdm.assemble(med1d(1e-2), 40)
-    path = tmp_path / "K.txt"
-    fdm.export_matrix(opr, str(path))
-    rows = [line.split() for line in path.read_text().splitlines()]
-    import scipy.sparse as sp
-    K = sp.coo_matrix(([float(v) for _, _, v in rows],
-                       ([int(i) for i, _, _ in rows],
-                        [int(j) for _, j, _ in rows]))).tocsr()
-    assert abs(K - opr.K).max() < 1e-12
+@pytest.mark.parametrize("case, bc", [("1d", bc) for bc in BCS[:3]]
+                         + [(case, bc) for case in ("2d", "corners") for bc in BCS])
+def test_assemble_matches_face_loop(case, bc):
+    if case == "1d":
+        med, n = ContrastMedium(TWO, 1e-3, bc), 200
+    else:
+        med, n = med2d(1e-3, bc=bc, rects=CORNERS if case == "corners" else
+                       ((0.25, 0.75, 0.25, 0.75),)), None
+    K = fdm.assemble(med, n).K.toarray()
+    ref = loop_stiffness(med, n)
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("med, n", [(ContrastMedium(TWO, 1e-2, BoundaryKind.dirichlet()), 200),
+                                    (med2d(1e-2, bc=BoundaryKind.bloch(0.4), rects=CORNERS), None)])
+def test_flux_on_interface_matches_face_loop(med, n):
+    opr = fdm.assemble(med, n)
+    labels = loop_grid(med, n)[0].ravel()
+    u = np.cos(np.arange(opr.dimension))
+    for i in range(1, int(labels.max()) + 1):
+        ref = 0.0
+        for a, b, g, _phase in loop_faces(med, n):
+            if b is not None and {labels[a], labels[b]} == {0, i}:
+                cin, cout = (a, b) if labels[a] == i else (b, a)
+                ref += g * (u[cout] - u[cin])
+        assert fdm.flux_on_interface(opr, u, i) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_interface_faces_per_inclusion_are_the_perimeter():
+    grid = fdm.build_grid(med2d(h=1 / 32))
+    assert grid.interface_faces(1).size == 64      # 16 x 16 cells
+    grid = fdm.build_grid(med2d(h=1 / 32, rects=CORNERS))
+    for i in range(1, 5):
+        assert grid.interface_faces(i).size == 32  # 8 x 8 cells each
+    with pytest.raises(GeometryError):
+        grid.interface_faces(5)
+
+
+def test_face_table_scales_to_512_squared():
+    # no timing: a per-face Python build at this size is what the table replaces
+    grid = fdm.build_grid(med2d(h=1 / 512))
+    cout = grid.faces.cout
+    assert np.count_nonzero(cout >= 0) == 2 * 512 * 511
+    assert np.count_nonzero(cout == -1) == 4 * 512
+    assert len(grid.faces) == 2 * 512 * 511 + 4 * 512
 
 
 def test_2d_solve_matches_dense_reference():

@@ -104,3 +104,34 @@ def test_det_scan_interlaces_poles_beyond_forty():
     assert np.all(inside[:roots.size - 1] < roots[1:])
     gap = np.min(np.abs(roots[:, None] - poles[None, :]) / poles[None, :])
     assert gap > 1e-6
+
+
+def loop_radial(r, h, sig, closed):
+    """Per-face loop reference of the r^2-weighted stiffness (dense)."""
+    n = sig.size
+    K = np.zeros((n, n))
+    for j in range(1, n):
+        g = 2.0 * sig[j - 1] * sig[j] / (sig[j - 1] + sig[j]) * r[j] ** 2 / h
+        K[j - 1, j - 1] += g
+        K[j, j] += g
+        K[j - 1, j] -= g
+        K[j, j - 1] -= g
+    for f in closed:
+        c = min(f, n - 1)
+        K[c, c] += 2.0 * sig[c] * r[f] ** 2 / h
+    return K
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_radial_operator_matches_face_loop(bc):
+    opr = radial3d.radial_operator(A, 1e-2, 200, bc=bc)
+    r = opr.h * np.arange(201)
+    sig = np.where(opr.labels == 1, 1e2, 1.0)
+    ref = loop_radial(r, opr.h, sig, [200] if bc == "dirichlet" else [])
+    assert np.max(np.abs(opr.K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.allclose(opr.M, [(r[j + 1] ** 3 - r[j] ** 3) / 3 for j in range(200)],
+                       rtol=1e-13, atol=0)
+    K, M, g_if = radial3d._exterior_radial(A, 200)
+    ref = loop_radial(r[100:], opr.h, np.ones(100), [0, 100])
+    assert np.max(np.abs(K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert K[0, 0] + K[0, 1] == pytest.approx(g_if, rel=1e-13)   # the tie to the trace dof
