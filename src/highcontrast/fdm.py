@@ -67,9 +67,6 @@ class FaceTable:
     inclusion: np.ndarray
     phase: np.ndarray
 
-    def __len__(self) -> int:
-        return self.cin.size
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -180,14 +177,17 @@ def cell_sigma(medium: ContrastMedium, grid: Grid) -> np.ndarray:
     return np.where(grid.labels > 0, sig_in, sig_out)
 
 
+def harmonic_means(sig: np.ndarray, cin: np.ndarray, cout: np.ndarray) -> np.ndarray:
+    """Harmonic mean of the two cell coefficients of each face; a face with
+    ``cout`` = -1 closes its cell half a cell away and gets 2 sigma_in."""
+    s_in, s_out = sig[cin], sig[cout]
+    return np.where(cout >= 0, 2.0 * s_in * s_out / (s_in + s_out), 2.0 * s_in)
+
+
 def face_conductances(medium: ContrastMedium, grid: Grid, sel=slice(None)) -> np.ndarray:
     """Conductances of the selected faces: harmonic mean of the adjacent cell
-    coefficients over h, times the face measure; a Dirichlet face closes the
-    half cell with 2 sigma / h."""
-    sig = cell_sigma(medium, grid)
-    cin, cout = grid.faces.cin[sel], grid.faces.cout[sel]
-    s_in, s_out = sig[cin], sig[cout]
-    g = np.where(cout >= 0, 2.0 * s_in * s_out / (s_in + s_out), 2.0 * s_in)
+    coefficients over h, times the face measure."""
+    g = harmonic_means(cell_sigma(medium, grid), grid.faces.cin[sel], grid.faces.cout[sel])
     return g / grid.h * grid.h**(grid.dim - 1)
 
 

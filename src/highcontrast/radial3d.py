@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from ._roots import scan_roots
 from .fdm import (ALIGN_TOL, EigensolverError, MAX_EIG_ITER, TOL_EIG,
-                  eigenpairs_below, face_matrix)
+                  eigenpairs_below, face_matrix, harmonic_means)
 from .geometry import GeometryError
 
 __all__ = [
@@ -130,10 +130,9 @@ def _weighted_operator(r: np.ndarray, h: float, sig: np.ndarray, closed=()):
     closed = np.asarray(closed, dtype=int)
     cin = np.concatenate([inner - 1, np.minimum(closed, n - 1)])
     cout = np.concatenate([inner, np.full(closed.size, -1)])
-    s_in, s_out = sig[cin], sig[cout]
-    g = np.where(cout >= 0, 2.0 * s_in * s_out / (s_in + s_out), 2.0 * s_in)
     weight = r[np.concatenate([inner, closed])] ** 2
-    K = face_matrix(n, cin, cout, g * weight / h, np.ones(cin.size))
+    K = face_matrix(n, cin, cout, harmonic_means(sig, cin, cout) * weight / h,
+                    np.ones(cin.size))
     return K, (r[1:] ** 3 - r[:-1] ** 3) / 3.0
 
 

@@ -219,7 +219,7 @@ def test_face_table_scales_to_512_squared():
     cout = grid.faces.cout
     assert np.count_nonzero(cout >= 0) == 2 * 512 * 511
     assert np.count_nonzero(cout == -1) == 4 * 512
-    assert len(grid.faces) == 2 * 512 * 511 + 4 * 512
+    assert cout.size == 2 * 512 * 511 + 4 * 512
 
 
 def test_2d_solve_matches_dense_reference():
