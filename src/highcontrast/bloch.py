@@ -22,8 +22,6 @@ __all__ = [
     "BandStructure",
     "dispersion_sweep",
     "gap_report",
-    "write_bands_csv",
-    "write_gaps_csv",
 ]
 
 DELTA_K = limitspec.DELTA_K
@@ -161,21 +159,3 @@ def gap_report(bands: BandStructure, eps: float) -> list[tuple[float, float]]:
         if hi > lo:
             gaps.append((lo, hi))
     return gaps
-
-
-def write_bands_csv(path: str, bands: BandStructure) -> None:
-    """CSV dump: k,epsilon,branch,lambda,omega."""
-    with open(path, "w") as fh:
-        fh.write("k,epsilon,branch,lambda,omega\n")
-        for p in bands.points():
-            fh.write(f"{p.k:.16g},{p.eps:.16g},{p.branch},{p.lam:.16g},"
-                     f"{np.sqrt(p.lam):.16g}\n")
-
-
-def write_gaps_csv(path: str, bands: BandStructure) -> None:
-    """CSV dump of per-contrast gap intervals: epsilon,gap_lo,gap_hi."""
-    with open(path, "w") as fh:
-        fh.write("epsilon,gap_lo,gap_hi\n")
-        for eps in bands.eps_list:
-            for lo, hi in gap_report(bands, eps):
-                fh.write(f"{eps:.16g},{lo:.16g},{hi:.16g}\n")

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import jsonschema
@@ -107,14 +106,18 @@ def _grid_n(cfg: dict, medium: ContrastMedium):
     return None
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, default=float)
+        fh.write("\n")
+
+
 def _emit(records, header, path_csv, fmt):
     """Write rows either as CSV with the given header or as a JSON record list."""
     if fmt == "json":
         keys = header.split(",")
-        payload = [dict(zip(keys, row)) for row in records]
-        with open(os.path.splitext(path_csv)[0] + ".json", "w") as fh:
-            json.dump(payload, fh, indent=1, default=float)
-            fh.write("\n")
+        _write_json(os.path.splitext(path_csv)[0] + ".json",
+                    [dict(zip(keys, row)) for row in records])
     else:
         with open(path_csv, "w") as fh:
             fh.write(header + "\n")
@@ -128,21 +131,27 @@ def _fmt_cell(x):
     return str(x)
 
 
-def run_spectrum(cfg: dict, out: str, fmt: str = "csv") -> dict:
-    """Finite-contrast spectrum of the configured medium."""
-    med = _medium(cfg)
-    count = cfg.get("count", 6)
+def _eigenpairs(med: ContrastMedium, cfg: dict, count: int):
+    """The ``count`` smallest eigenpairs of the configured grid operator.
+
+    Returns (eigenvalues, vectors, residuals, labels, h): the r^2-weighted
+    radial operator for radial media, the finite-volume grid otherwise.
+    """
     geom = med.geometry
     if isinstance(geom, RadialGeometry):
         n = int(round(1.0 / cfg["medium"].get("h", 1e-3)))
-        opr = radial3d.radial_operator(geom.a, med.epsilon, n,
-                                       bc=med.bc.kind)
+        opr = radial3d.radial_operator(geom.a, med.epsilon, n, bc=med.bc.kind)
         w, v, res = radial3d.radial_eigenpairs(opr, count)
-        lams, resid = w, res
-    else:
-        opr = fdm.assemble(med, _grid_n(cfg, med))
-        result = fdm.smallest_eigenpairs(opr, count)
-        lams, resid = result.eigenvalues, result.residuals
+        return w, v, res, opr.labels, opr.h
+    opr = fdm.assemble(med, _grid_n(cfg, med))
+    result = fdm.smallest_eigenpairs(opr, count)
+    return (result.eigenvalues, result.eigenvectors, result.residuals,
+            opr.grid.labels, opr.grid.h)
+
+
+def run_spectrum(cfg: dict, out: str, fmt: str = "csv") -> dict:
+    """Finite-contrast spectrum of the configured medium."""
+    lams, _v, resid, _labels, _h = _eigenpairs(_medium(cfg), cfg, cfg.get("count", 6))
     rows = [(j + 1, float(l), float(r)) for j, (l, r) in enumerate(zip(lams, resid))]
     _emit(rows, "j,lambda,residual", os.path.join(out, "spectrum.csv"), fmt)
     return {"eigenvalues": [float(l) for l in lams]}
@@ -160,25 +169,19 @@ def run_limit(cfg: dict, out: str, fmt: str = "csv") -> dict:
         _emit(rows, "branch,lambda,c_1,flux_residual,pde_residual",
               os.path.join(out, "limit.csv"), fmt)
         return {"eigenvalues": [r[1] for r in rows], "S1": []}
-    n = _grid_n(cfg, med)
-    if med.bc.kind == "neumann":
-        spec = limitspec.limit_spectrum_neumann(med, lam_max, n)
-    else:
-        spec = limitspec.limit_spectrum(med, lam_max, n)
-    m = geom.n_inclusions
-    if fmt == "json":
-        rows = [(p.branch, p.lam, *[float(np.real(ci)) for ci in p.c],
-                 p.flux_residual, p.pde_residual) for p in spec.pairs]
-        cols = ",".join(f"c_{i + 1}" for i in range(m))
-        _emit(rows, f"branch,lambda,{cols},flux_residual,pde_residual",
-              os.path.join(out, "limit.csv"), fmt)
-    else:
-        limitspec.write_limit_csv(os.path.join(out, "limit.csv"), spec, m)
+    spec = limitspec.limit_spectrum(med, lam_max, _grid_n(cfg, med))
+    rows = [(p.branch, p.lam, *[float(np.real(ci)) for ci in p.c],
+             p.flux_residual, p.pde_residual) for p in spec.pairs]
+    cols = ",".join(f"c_{i + 1}" for i in range(geom.n_inclusions))
+    _emit(rows, f"branch,lambda,{cols},flux_residual,pde_residual",
+          os.path.join(out, "limit.csv"), fmt)
     if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):
         exact = exact1d.limit_spectrum_1d(geom, med.bc, lam_max)
-        rows = ([("S1", i + 1, l, 0.0) for i, (l, _f) in enumerate(exact.S1)]
-                + [("S2", i + 1, l, 0.0) for i, (l, _f) in enumerate(exact.S2)])
-        exact1d.write_spectrum_csv(os.path.join(out, "exact_limit.csv"), rows)
+        rows = [(branch, i + 1, l, np.sqrt(l), 0.0)
+                for branch, family in (("S1", exact.S1), ("S2", exact.S2))
+                for i, (l, _f) in enumerate(family)]
+        _emit(rows, "branch,index,lambda,omega,residual",
+              os.path.join(out, "exact_limit.csv"), fmt)
     return {"eigenvalues": [p.lam for p in spec.pairs],
             "branches": [p.branch for p in spec.pairs],
             "unresolved": list(spec.unresolved)}
@@ -215,7 +218,7 @@ def _limit_reference(med: ContrastMedium, cfg: dict, lam_max: float) -> np.ndarr
     return spec.eigenvalues
 
 
-def run_converge(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
+def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
     """Contrast sweep of one grid spectrum with affine extrapolation to 0.
 
     The sweep must be geometric with ratio <= 1/2 and at least 4 points.
@@ -230,38 +233,16 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
     if max(ratios) > 0.5 + 1e-12 or max(ratios) / min(ratios) > 1.0 + 1e-9:
         raise ConfigError("eps_list must be geometric with ratio <= 1/2")
     count = cfg.get("count", 4)
-    geom = med.geometry
 
-    def sweep_point(eps):
-        if isinstance(geom, RadialGeometry):
-            n = int(round(1.0 / cfg["medium"].get("h", 1e-3)))
-            opr = radial3d.radial_operator(geom.a, eps, n, bc=med.bc.kind)
-            w, v, _ = radial3d.radial_eigenpairs(opr, count)
-            labels = opr.labels
-            h = opr.h
-        else:
-            opr = fdm.assemble(med.with_epsilon(eps), _grid_n(cfg, med))
-            res = fdm.smallest_eigenpairs(opr, count)
-            w, v = res.eigenvalues, res.eigenvectors
-            labels = opr.grid.labels
-            h = opr.grid.h
-        flat = []
-        for j in range(count):
-            inside = np.abs(v[labels > 0, j])
-            vals = v[labels > 0, j]
-            flat.append(float(np.max(np.abs(vals - vals.mean())) /
-                              max(np.max(np.abs(v[:, j])), 1e-300))
-                        if inside.size else 0.0)
-        return np.asarray(w[:count]), flat, h
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(sweep_point, eps_list))
-    else:
-        results = [sweep_point(e) for e in eps_list]
-    table = np.array([r[0] for r in results])        # (n_eps, count)
-    flatness = np.array([r[1] for r in results])
-    h = results[0][2]
+    table, flatness = [], []                       # (n_eps, count) each
+    for eps in eps_list:
+        w, v, _res, labels, h = _eigenpairs(med.with_epsilon(eps), cfg, count)
+        table.append(w[:count])
+        inner = v[labels > 0]
+        flatness.append([float(np.max(np.abs(inner[:, j] - inner[:, j].mean()))
+                               / max(np.max(np.abs(v[:, j])), 1e-300))
+                         if inner.size else 0.0 for j in range(count)])
+    table, flatness = np.array(table), np.array(flatness)
     lam_ref = _limit_reference(med, cfg, float(table.max()) * 1.5 + 10.0)
 
     eps_arr = np.array(eps_list)
@@ -293,9 +274,7 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
     _emit(rows, "epsilon,branch,lambda", os.path.join(out, "converge.csv"), fmt)
     report = {"eps_list": eps_list, "branches": branches,
               "passed": all(b.get("passed", True) for b in branches)}
-    with open(os.path.join(out, "converge.json"), "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "converge.json"), report)
     return report
 
 
@@ -307,7 +286,7 @@ def _check(name, fn):
     return {"name": name, "passed": bool(ok), "detail": str(detail)}
 
 
-def run_validate(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
+def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
     """Geometry-appropriate subset of the acceptance checks; verdict JSON."""
     med = _medium(cfg)
     geom = med.geometry
@@ -352,11 +331,7 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
         def limit_match():
             lam_max = cfg.get("lambda_max", 50.0)
             exact = exact1d.limit_spectrum_1d(geom, med.bc, lam_max)
-            if med.bc.kind == "neumann":
-                spec = limitspec.limit_spectrum_neumann(med.with_epsilon(0.0),
-                                                        lam_max, n)
-            else:
-                spec = limitspec.limit_spectrum(med.with_epsilon(0.0), lam_max, n)
+            spec = limitspec.limit_spectrum(med.with_epsilon(0.0), lam_max, n)
             ref = exact.all_eigenvalues
             worst = 0.0
             for lam in spec.eigenvalues:
@@ -372,15 +347,9 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv", jobs: int = 1) -> dict:
             return (s1 == () and worst < 1e-3), f"det-scan deviation {worst:.2e}"
         checks.append(("sphere_limit", sphere_checks))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: _check(*c), checks))
-    else:
-        results = [_check(name, fn) for name, fn in checks]
+    results = [_check(name, fn) for name, fn in checks]
     verdict = {"criteria": results, "passed": all(r["passed"] for r in results)}
-    with open(os.path.join(out, "validate.json"), "w") as fh:
-        json.dump(verdict, fh, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "validate.json"), verdict)
     return verdict
 
 
@@ -393,7 +362,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON study configuration")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -414,12 +382,12 @@ def main(argv=None) -> int:
         elif args.task == "dispersion":
             run_dispersion(cfg, args.out, args.format)
         elif args.task == "converge":
-            report = run_converge(cfg, args.out, args.format, args.jobs)
+            report = run_converge(cfg, args.out, args.format)
             if not report["passed"]:
                 print("convergence check failed", file=sys.stderr)
                 return EXIT_VALIDATION
         else:
-            verdict = run_validate(cfg, args.out, args.format, args.jobs)
+            verdict = run_validate(cfg, args.out, args.format)
             if not verdict["passed"]:
                 print("validation failed", file=sys.stderr)
                 return EXIT_VALIDATION

@@ -45,7 +45,6 @@ __all__ = [
     "limit_spectrum_1d",
     "bloch_limit_curve",
     "rationality_certificate",
-    "write_spectrum_csv",
 ]
 
 TOL_POLE = 1e-8          # in sqrt(lambda) units
@@ -508,14 +507,3 @@ def bloch_limit_curve(a: float, k_grid: Sequence[float], lam_max: float) -> list
         for n, s in enumerate(rep.roots, start=1):
             points.append(DispersionPoint(float(k), n, s * s, 0.0))
     return points
-
-
-def write_spectrum_csv(path: str, rows) -> None:
-    """CSV dump of 1D spectra: branch,index,lambda,omega,residual.
-
-    ``rows`` is an iterable of (branch_label, index, lam, residual).
-    """
-    with open(path, "w") as fh:
-        fh.write("branch,index,lambda,omega,residual\n")
-        for branch, idx, lam, res in rows:
-            fh.write(f"{branch},{idx},{lam:.16g},{np.sqrt(lam):.16g},{res:.3e}\n")

@@ -322,26 +322,32 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
 def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
     """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending.
 
-    ``A`` is Hermitian positive semi-definite and ``mass`` positive, so the
-    shift-invert pole sigma = -lam_max / 100 lies below the spectrum: the
-    shifted matrix is definite and a zero eigenvalue (Neumann closure,
-    integer Bloch number) needs no special case.  One factorization serves
-    every call; the number of requested pairs doubles from 16 until the
-    largest returned eigenvalue passes lam_max.  The eigenvectors are
-    orthonormal in the mass inner product, degenerate eigenspaces included.
+    ``A`` is Hermitian positive semi-definite and ``mass`` positive.  The
+    pencil is solved as the standard problem D^-1/2 A D^-1/2 y = lam y with
+    D = diag(mass) and x = D^-1/2 y, so no mass matrix reaches ARPACK (its
+    complex generalized mode holds the workspace in a reference cycle until
+    the cyclic collector runs).  The shift-invert pole sigma = -lam_max / 100
+    lies below the spectrum: the shifted matrix is definite and a zero
+    eigenvalue (Neumann closure, integer Bloch number) needs no special
+    case.  One factorization serves every call; the number of requested
+    pairs doubles from 16 until the largest returned eigenvalue passes
+    lam_max.  The eigenvectors are orthonormal in the mass inner product,
+    degenerate eigenspaces included.
     """
     n = A.shape[0]
-    M = sp.diags(mass).tocsc()
+    root = np.sqrt(mass)
+    inv_root = sp.diags(1.0 / root)
+    B = (inv_root @ A @ inv_root).tocsc()
     sigma = -1e-2 * lam_max
     try:
-        lu = spla.splu((A - sigma * M).tocsc())
+        lu = spla.splu((B - sigma * sp.identity(n)).tocsc())
     except RuntimeError as exc:
         raise EigensolverError(f"shift-invert factorization failed: {exc}") from exc
-    OPinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=lu.U.dtype)
+    OPinv = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=lu.U.dtype)
     k = min(16, n - 2)
     while True:
         try:
-            w, v = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=OPinv, which="LM",
+            w, y = spla.eigsh(B, k=k, sigma=sigma, OPinv=OPinv, which="LM",
                               maxiter=MAX_EIG_ITER)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
@@ -353,14 +359,13 @@ def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
         k = min(2 * k, n - 2)
     order = np.argsort(w)
     keep = order[w[order] <= lam_max]
-    # re-orthonormalize in the mass inner product: the complex (Arnoldi)
-    # path returns a degenerate eigenspace in an arbitrary basis
-    root = np.sqrt(mass)[:, None]
-    y = root * v[:, keep]
+    # re-orthonormalize: the complex (Arnoldi) path returns a degenerate
+    # eigenspace in an arbitrary basis
+    y = y[:, keep]
     q, r = np.linalg.qr(y / np.linalg.norm(y, axis=0))
     if keep.size and np.min(np.abs(np.diag(r))) < 1e-8:
         raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
-    return w[keep], q / root
+    return w[keep], q / root[:, None]
 
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:

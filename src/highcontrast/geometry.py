@@ -84,9 +84,9 @@ class Geometry2D:
     """Rectangle (0,Lx) x (0,Ly) on a uniform cell grid with an inclusion mask.
 
     ``mask[ix, iy]`` is 0 for exterior cells and i >= 1 for cells of
-    inclusion i.  Each inclusion must be edge-connected and must not touch
-    the outer boundary.  Interfaces are the staircase sets of cell faces
-    separating differently labeled cells.
+    inclusion i.  Each inclusion must be edge-connected and must touch
+    neither the outer boundary nor another inclusion.  Interfaces are the
+    staircase sets of cell faces separating inclusion and exterior cells.
     """
 
     Lx: float
@@ -113,6 +113,9 @@ class Geometry2D:
             _, ncomp = ndimage.label(cells)
             if ncomp != 1:
                 raise GeometryError(f"inclusion {lab} is not connected")
+        for a, b in ((mask[1:, :], mask[:-1, :]), (mask[:, 1:], mask[:, :-1])):
+            if np.any((a != b) & (a > 0) & (b > 0)):
+                raise GeometryError("inclusions must not share a face")
         self.mask.setflags(write=False)
 
     @property
@@ -122,33 +125,6 @@ class Geometry2D:
     @property
     def n_inclusions(self) -> int:
         return int(self.mask.max())
-
-    def interface_edges(self, i: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Cell-face list of interface i as ((inclusion cell), (exterior cell)) pairs.
-
-        Regenerated from the mask; faces between two different inclusions
-        are rejected (inclusions are required to be separated by matrix cells).
-        """
-        if not 1 <= i <= self.n_inclusions:
-            raise GeometryError(f"inclusion index {i} out of range")
-        mask = self.mask
-        edges = []
-        nx, ny = mask.shape
-        for (dx, dy) in ((1, 0), (0, 1)):
-            a = mask[: nx - dx, : ny - dy]
-            b = mask[dx:, dy:]
-            where = np.argwhere((a == i) != (b == i))
-            for ix, iy in where:
-                ca, cb = mask[ix, iy], mask[ix + dx, iy + dy]
-                if {ca, cb} != {0, i}:
-                    raise GeometryError("inclusions must not share a face")
-                inc = (ix, iy) if ca == i else (ix + dx, iy + dy)
-                ext = (ix + dx, iy + dy) if ca == i else (ix, iy)
-                edges.append((inc, ext))
-        return edges
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        return ((ix + 0.5) * self.h, (iy + 0.5) * self.h)
 
     def region_of(self, x: float, y: float) -> int:
         if not (0 <= x <= self.Lx and 0 <= y <= self.Ly):

@@ -52,7 +52,6 @@ __all__ = [
     "solve_limit_neumann",
     "limit_spectrum_neumann",
     "effective_resolvent",
-    "write_limit_csv",
 ]
 
 TOL_FLUX = 1e-6         # base zero-flux filter tolerance (scaled)
@@ -431,14 +430,3 @@ def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
     x = spla.splu((A.astype(dtype) - z * sp.diags(mass)).tocsc()).solve(rhs)
     nE = ext.K_EE.shape[0]
     return _full_field(ext, x[:nE], x[nE:])
-
-
-def write_limit_csv(path: str, spectrum: LimitSpectrum, m: int) -> None:
-    """CSV dump: branch,lambda,c_1..c_m,flux_residual,pde_residual."""
-    cols = ",".join(f"c_{i + 1}" for i in range(m))
-    with open(path, "w") as fh:
-        fh.write(f"branch,lambda,{cols},flux_residual,pde_residual\n")
-        for p in spectrum.pairs:
-            cvals = ",".join(f"{np.real(ci):.16g}" for ci in p.c)
-            fh.write(f"{p.branch},{p.lam:.16g},{cvals},"
-                     f"{p.flux_residual:.3e},{p.pde_residual:.3e}\n")

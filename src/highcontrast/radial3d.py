@@ -136,6 +136,15 @@ def _weighted_operator(r: np.ndarray, h: float, sig: np.ndarray, closed=()):
     return K, (r[1:] ** 3 - r[:-1] ** 3) / 3.0
 
 
+def _interface_face(a: float, n_grid: int) -> int:
+    """Index of the grid face at r = a; raises unless r = a is an inner face."""
+    h = 1.0 / n_grid
+    j_if = round(a / h)
+    if not 0 < j_if < n_grid or abs(j_if * h - a) > ALIGN_TOL:
+        raise GeometryError(f"interface r={a} does not align with the grid (n={n_grid})")
+    return j_if
+
+
 def radial_operator(a: float, eps: float, n_grid: int,
                     bc: str = "dirichlet") -> RadialOperator:
     """Radial discretization with the interface aligned to a cell face."""
@@ -143,10 +152,8 @@ def radial_operator(a: float, eps: float, n_grid: int,
         raise GeometryError("radial assembly needs epsilon > 0")
     if bc not in ("dirichlet", "neumann"):
         raise GeometryError(f"unsupported radial closure {bc!r}")
+    _interface_face(a, n_grid)
     h = 1.0 / n_grid
-    j_if = round(a / h)
-    if not 0 < j_if < n_grid or abs(j_if * h - a) > ALIGN_TOL:
-        raise GeometryError(f"interface r={a} does not align with the grid (n={n_grid})")
     faces = h * np.arange(n_grid + 1)
     centers = (faces[:-1] + faces[1:]) / 2.0
     labels = (centers < a).astype(int)
@@ -196,8 +203,8 @@ def flux_at_interface(opr: RadialOperator, u: np.ndarray) -> float:
 
 def _exterior_radial(a: float, n_grid: int):
     """Exterior block (cells in (a, 1)) with a trace dof at r = a, sigma = 1."""
+    j_if = _interface_face(a, n_grid)
     h = 1.0 / n_grid
-    j_if = round(a / h)
     faces = h * np.arange(j_if, n_grid + 1)
     # the closure at r = a is the half-cell tie to the trace dof, the one at
     # r = 1 the Dirichlet condition

@@ -77,15 +77,3 @@ def test_crossing_flag():
                                 crossings=((0.1, 0.3, 1),))
     assert bands.crossings[0][2] == 1
 
-
-def test_csv_writers(tmp_path):
-    bands = bloch.dispersion_sweep(cell_medium(), [0.3, 0.7], 2, [1e-2, 0.0])
-    bpath, gpath = tmp_path / "bands.csv", tmp_path / "gaps.csv"
-    bloch.write_bands_csv(str(bpath), bands)
-    bloch.write_gaps_csv(str(gpath), bands)
-    blines = bpath.read_text().splitlines()
-    assert blines[0] == "k,epsilon,branch,lambda,omega"
-    assert len(blines) == 1 + 2 * 2 * 2
-    k, eps, br, lam, om = blines[1].split(",")
-    assert float(om) == pytest.approx(np.sqrt(float(lam)))
-    assert gpath.read_text().splitlines()[0] == "epsilon,gap_lo,gap_hi"

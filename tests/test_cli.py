@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from highcontrast import cli, dtn
@@ -43,8 +44,13 @@ def test_limit_writes_grid_and_exact_tables(tmp_path):
     assert cli.main(["limit", "--config", cfg, "--out", str(tmp_path)]) == 0
     lim = (tmp_path / "limit.csv").read_text().splitlines()
     assert lim[0] == "branch,lambda,c_1,flux_residual,pde_residual"
+    assert all(len(l.split(",")) == 5 for l in lim[1:])
+    assert {l.split(",")[0] for l in lim[1:]} == {"constant_trace", "zero_flux"}
     exact = (tmp_path / "exact_limit.csv").read_text().splitlines()
     assert exact[0] == "branch,index,lambda,omega,residual"
+    for row in exact[1:]:
+        _branch, _i, lam, om, _res = row.split(",")
+        assert float(om) == pytest.approx(np.sqrt(float(lam)))
     # same eigenvalue content, grid vs closed form
     grid_lams = sorted(float(l.split(",")[1]) for l in lim[1:])
     ref_lams = sorted(float(l.split(",")[2]) for l in exact[1:])
@@ -73,7 +79,29 @@ def test_dispersion_outputs(tmp_path):
     bands = (tmp_path / "bands.csv").read_text().splitlines()
     assert bands[0] == "k,epsilon,branch,lambda,omega"
     assert len(bands) == 1 + 2 * 2 * 2
+    for row in bands[1:]:
+        _k, _eps, _br, lam, om = row.split(",")
+        assert float(om) == pytest.approx(np.sqrt(float(lam)))
     assert (tmp_path / "gaps.csv").read_text().splitlines()[0] == "epsilon,gap_lo,gap_hi"
+
+
+@pytest.mark.parametrize("task, cfg, outputs", [
+    ("spectrum", {"medium": med1d(), "count": 2}, {"spectrum.json"}),
+    ("limit", {"medium": med1d(eps=0.0), "lambda_max": 45.0},
+     {"limit.json", "exact_limit.json"}),
+    ("dispersion", {"medium": med1d(bc={"bloch": 0.5}), "k_grid": [0.3],
+                    "eps_list": [0.0]}, {"bands.json", "gaps.json"}),
+    ("converge", {"medium": med1d(), "count": 1}, {"converge.json"}),
+    ("validate", {"medium": med1d()}, {"validate.json"}),
+])
+def test_json_format_writes_no_csv(tmp_path, task, cfg, outputs):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+    assert {p.name for p in out.iterdir()} == outputs
+    for name in outputs:
+        json.loads((out / name).read_text())
 
 
 def test_converge_passes_against_limit(tmp_path):

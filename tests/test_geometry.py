@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from highcontrast import fdm
 from highcontrast.geometry import (
     BoundaryKind,
     ContrastMedium,
@@ -53,10 +54,22 @@ def test_mask_geometry_rejects_boundary_contact():
 def test_mask_geometry_interface_edges():
     mask = rectangles_to_mask(1.0, 1.0, 1 / 8, [(0.25, 0.75, 0.25, 0.75)])
     g = Geometry2D(1.0, 1.0, 1 / 8, mask)
-    edges = g.interface_edges(1)
+    grid = fdm.build_grid(ContrastMedium(g, 0.0, BoundaryKind.dirichlet()))
     # a 4x4 block of cells has 16 boundary faces
-    assert len(edges) == 16
+    assert grid.interface_faces(1).size == 16
     assert measure_inclusion(g, 1) == pytest.approx(0.25)
+
+
+def test_touching_inclusions_rejected():
+    blocks = [(0.25, 0.5, 0.25, 0.75), (0.5, 0.75, 0.25, 0.75)]   # share x = 0.5
+    with pytest.raises(GeometryError, match="share a face"):
+        Geometry2D(1.0, 1.0, 1 / 16, rectangles_to_mask(1.0, 1.0, 1 / 16, blocks))
+    with pytest.raises(GeometryError, match="share a face"):
+        medium_from_config({"dim": 2, "domain": [1.0, 1.0], "inclusions": blocks,
+                            "h": 1 / 16, "epsilon": 0.0, "bc": "dirichlet"})
+    # diagonal contact shares no face
+    corners = [(0.25, 0.5, 0.25, 0.5), (0.5, 0.75, 0.5, 0.75)]
+    Geometry2D(1.0, 1.0, 1 / 16, rectangles_to_mask(1.0, 1.0, 1 / 16, corners))
 
 
 def test_refine_preserves_measure():

@@ -1,5 +1,7 @@
 """Limit spectrum on grids: determinant branch, zero-flux branch, sources."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -175,15 +177,6 @@ def test_effective_resolvent_against_contrast_solves():
     assert errs[2] / errs[1] == pytest.approx(0.5, abs=0.15)
 
 
-def test_limit_csv_format(tmp_path, ext_sym):
-    spec = limitspec.limit_spectrum(med(BoundaryKind.dirichlet()), 45.0, 1000)
-    path = tmp_path / "limit.csv"
-    limitspec.write_limit_csv(str(path), spec, 1)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "branch,lambda,c_1,flux_residual,pde_residual"
-    assert len(lines) == len(spec.pairs) + 1
-
-
 def test_four_corner_double_eigenvalues():
     """Even-multiplicity constant-trace eigenvalues are all returned."""
     h, lam_max = 1 / 32, 250.0
@@ -196,3 +189,17 @@ def test_four_corner_double_eigenvalues():
         assert np.count_nonzero(np.abs(lams - double) < 1e-3) == 2
     grid = fdm.smallest_eigenpairs(fdm.assemble(m.with_epsilon(1e-7)), 12).eigenvalues
     assert np.count_nonzero(grid <= lam_max) == len(lams)
+
+
+def test_complex_limit_solve_leaves_no_reference_cycles():
+    """A Bloch (complex) limit solve frees its eigensolver workspace at once."""
+    m = med(BoundaryKind.bloch(0.3))
+    limitspec.limit_spectrum(m, 400.0, 1000)
+    gc.collect()
+    gc.disable()
+    try:
+        limitspec.limit_spectrum(m, 400.0, 1000)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

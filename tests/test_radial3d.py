@@ -65,6 +65,11 @@ def test_interface_alignment_required():
         radial3d.radial_operator(A, 1e-2, 333)   # h = 1/333 misses r = 0.5
 
 
+def test_det_scan_alignment_required():
+    with pytest.raises(GeometryError):
+        radial3d.sphere_det_scan(A, 200.0, 401)   # h = 1/401 misses r = 0.5
+
+
 def test_neumann_variant_drops_constant():
     opr = radial3d.radial_operator(A, 1e-2, 500, bc="neumann")
     w, v, _ = radial3d.radial_eigenpairs(opr, 2)
