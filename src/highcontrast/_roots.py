@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["RootReport", "scan_roots", "windows_between_poles"]
 
@@ -62,6 +61,8 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     polished point has a residual above both bracket values is a pole, not
     a root, and is dropped.
     """
+    from scipy.optimize import brentq           # imported here: grid paths never scan
+
     found = []                                  # (root, residual)
     for a, b in windows_between_poles(lo, hi, poles):
         n = max(n_min, int(np.ceil((b - a) / step)) if step else n_min)

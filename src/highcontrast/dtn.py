@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .fdm import DiscreteOperator, Grid, build_grid, cell_sigma, face_matrix
+from .fdm import (DiscreteOperator, EigensolverError, Grid, build_grid, cell_sigma,
+                  face_matrix, factor)
 from .geometry import ContrastMedium, GeometryError
 
 __all__ = [
@@ -67,7 +67,7 @@ class DtNSystem:
     Np: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
     Z: np.ndarray = field(repr=False)
-    # cell-system blocks for reconstruction (splu factorizations + couplings)
+    # cell-system blocks for reconstruction (sparse LU factors + couplings)
     _in_solve: object = field(repr=False, default=None)
     _out_solve: object = field(repr=False, default=None)
     _K_IG: sp.csr_matrix = field(repr=False, default=None)
@@ -216,9 +216,9 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
      K_II, K_IG, K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(grid)
 
     try:
-        in_lu = spla.splu(K_II)
-        out_lu = spla.splu(K_EE)
-    except RuntimeError as exc:
+        in_lu = factor(K_II)
+        out_lu = factor(K_EE)
+    except EigensolverError as exc:
         raise GeometryError(f"singular interior/exterior block: {exc}") from exc
 
     nG = len(gamma)

@@ -30,6 +30,8 @@ __all__ = [
     "SolvabilityError",
     "EigensolverError",
     "assemble",
+    "factor",
+    "shift_invert_eigenpairs",
     "smallest_eigenpairs",
     "eigenpairs_below",
     "solve",
@@ -285,87 +287,94 @@ def _geometry_tag(medium: ContrastMedium) -> str:
     return f"{type(geom).__name__}:{digest.hexdigest()[:16]}"
 
 
-def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
-    """The ``count`` smallest eigenpairs (smallest positive under Neumann)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count >= opr.dimension - 1:
-        raise ValueError("count must be small relative to the dimension")
-    K = opr.K
-    vol = opr.grid.cell_volume
-    neumann = opr.bc.kind == "neumann"
-    k_ask = count + 1 if neumann else count
-    scale = abs(K).sum() / opr.dimension
-    sigma = -1e-8 * scale if neumann else 0.0
+def factor(A: sp.spmatrix):
+    """Sparse LU of A with the minimum-degree ordering of A^T + A: every matrix
+    factored here is Hermitian, and on the 2D grids this ordering has about
+    half the fill of scipy's default COLAMD."""
     try:
-        w, v = spla.eigsh(K, k=k_ask, sigma=sigma, which="LM", maxiter=MAX_EIG_ITER)
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        raise EigensolverError(f"shift-invert factorization failed: {exc}") from exc
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    meta = {"solver": "eigsh shift-invert", "requested": k_ask}
-    if neumann:
-        meta["constant_mode_lambda"] = float(w[0]) / vol
-        w, v = w[1:], v[:, 1:]
-    lams = np.real(w) / vol
-    v = v / np.sqrt(vol)
-    res = np.array([np.linalg.norm(K @ v[:, j] - w[j] * v[:, j])
-                    / (max(abs(w[j]), 1e-3 * scale) * np.linalg.norm(v[:, j]))
-                    for j in range(v.shape[1])])
-    if (res > TOL_EIG).any():
-        raise EigensolverError(f"eigenpair residuals exceed tolerance: {res.max():.2e}")
-    return SpectrumResult(lams, v, res, opr.medium.epsilon, _geometry_tag(opr.medium), meta)
+        raise EigensolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
-    """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending.
+def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: float,
+                            lam_max: float = None):
+    """Eigenpairs of A x = lam diag(mass) x nearest above the shift sigma.
 
-    ``A`` is Hermitian positive semi-definite and ``mass`` positive.  The
-    pencil is solved as the standard problem D^-1/2 A D^-1/2 y = lam y with
-    D = diag(mass) and x = D^-1/2 y, so no mass matrix reaches ARPACK (its
-    complex generalized mode holds the workspace in a reference cycle until
-    the cyclic collector runs).  The shift-invert pole sigma = -lam_max / 100
-    lies below the spectrum: the shifted matrix is definite and a zero
-    eigenvalue (Neumann closure, integer Bloch number) needs no special
-    case.  One factorization serves every call; the number of requested
-    pairs doubles from 16 until the largest returned eigenvalue passes
-    lam_max.  The eigenvectors are orthonormal in the mass inner product,
-    degenerate eigenspaces included.
+    ``A`` is Hermitian, ``mass`` positive.  ARPACK sees B y = lam y with
+    B = D^-1/2 A D^-1/2, D = diag(mass), x = D^-1/2 y, and no mass matrix
+    (its complex generalized mode leaves a reference cycle).  B is never
+    formed (rounding its entries put radial eigenvalues at epsilon = 1e-4 off
+    by 2e-7, against 1e-9 here): A - sigma D is factored once, and
+    D^1/2 (A - sigma D)^-1 D^1/2 is the OPinv of ``eigsh``.
+
+    Returns (lam, X, residuals), ascending: the k pairs nearest sigma, or
+    with ``lam_max`` all pairs <= lam_max, doubling k until the largest
+    passes it.  X is mass-orthonormal, degenerate eigenspaces included.  The
+    residuals |B y - lam y| / max(|lam|, 1e-3 mean |row| sum of B) must
+    stay below ``TOL_EIG``.
     """
     n = A.shape[0]
     root = np.sqrt(mass)
-    inv_root = sp.diags(1.0 / root)
-    B = (inv_root @ A @ inv_root).tocsc()
-    sigma = -1e-2 * lam_max
-    try:
-        lu = spla.splu((B - sigma * sp.identity(n)).tocsc())
-    except RuntimeError as exc:
-        raise EigensolverError(f"shift-invert factorization failed: {exc}") from exc
-    OPinv = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=lu.U.dtype)
-    k = min(16, n - 2)
+    # the dtype comes from A and sigma, not from lu.U: reading lu.U copies the factor
+    dtype = np.result_type(A.dtype, sigma)
+    lu = factor(A - sigma * sp.diags(mass))
+    OPinv = spla.LinearOperator((n, n), matvec=lambda y: root * lu.solve(root * y),
+                                dtype=dtype)
+    B = spla.LinearOperator((n, n), matvec=lambda y: (A @ (y / root)) / root, dtype=dtype)
     while True:
         try:
             w, y = spla.eigsh(B, k=k, sigma=sigma, OPinv=OPinv, which="LM",
                               maxiter=MAX_EIG_ITER)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-        if w.max() > lam_max:
+        if lam_max is None or w.max() > lam_max:
             break
-        if k == n - 2:
+        if k >= n - 2:
             raise EigensolverError(f"more than {k} eigenvalues below {lam_max}: "
                                    "the window holds nearly the whole grid")
         k = min(2 * k, n - 2)
     order = np.argsort(w)
-    keep = order[w[order] <= lam_max]
-    # re-orthonormalize: the complex (Arnoldi) path returns a degenerate
-    # eigenspace in an arbitrary basis
-    y = y[:, keep]
-    q, r = np.linalg.qr(y / np.linalg.norm(y, axis=0))
-    if keep.size and np.min(np.abs(np.diag(r))) < 1e-8:
+    if lam_max is not None:
+        order = order[w[order] <= lam_max]
+    w = w[order]
+    q, r = np.linalg.qr(y[:, order] / np.linalg.norm(y[:, order], axis=0))
+    d = np.diag(r)
+    if w.size and np.min(np.abs(d)) < 1e-8:
         raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
-    return w[keep], q / root[:, None]
+    y = q * (d / np.abs(d))     # Gram-Schmidt phases: an orthonormal basis stays as it is
+    x = y / root[:, None]
+    scale = (1.0 / root) @ (abs(A) @ (1.0 / root)) / n
+    res = (np.linalg.norm((A @ x) / root[:, None] - y * w, axis=0)
+           / np.maximum(np.abs(w), 1e-3 * scale))
+    if (res > TOL_EIG).any():
+        raise EigensolverError(f"eigenpair residuals exceed tolerance: {res.max():.2e}")
+    return w, x, res
+
+
+def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
+    """The ``count`` smallest eigenpairs (smallest positive under Neumann)."""
+    if not 1 <= count < opr.dimension - 1:
+        raise ValueError("count must be >= 1 and small relative to the dimension")
+    n, vol = opr.dimension, opr.grid.cell_volume
+    neumann = opr.bc.kind == "neumann"
+    k_ask = count + 1 if neumann else count
+    sigma = -1e-8 * abs(opr.K).sum() / (n * vol) if neumann else 0.0
+    w, v, res = shift_invert_eigenpairs(opr.K, np.full(n, vol), k_ask, sigma)
+    meta = {"solver": "eigsh shift-invert", "requested": k_ask}
+    if neumann:
+        meta["constant_mode_lambda"] = float(w[0])
+        w, v, res = w[1:], v[:, 1:], res[1:]
+    return SpectrumResult(w, v, res, opr.medium.epsilon, _geometry_tag(opr.medium), meta)
+
+
+def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
+    """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending,
+    mass-orthonormal.  The shift -lam_max / 100 lies below the spectrum of
+    the semi-definite A, so a zero eigenvalue (Neumann closure, integer
+    Bloch number) needs no special case."""
+    return shift_invert_eigenpairs(A, mass, min(16, A.shape[0] - 2), -1e-2 * lam_max,
+                                   lam_max)[:2]
 
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
@@ -378,15 +387,12 @@ def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
         if mean > 1e-12 * max(1.0, np.max(np.abs(f))):
             raise SolvabilityError("Neumann source must have zero mesh mean")
         # ground one cell of the consistent singular system, then shift
-        Kr = opr.K[:-1, :-1].tocsc()
-        ur = spla.splu(Kr).solve(rhs[:-1])
-        u = np.concatenate([ur, [0.0]])
+        u = np.append(factor(opr.K[:-1, :-1]).solve(rhs[:-1]), 0.0)
         u = u - np.mean(u)
     else:
-        u = spla.splu(opr.K.tocsc()).solve(rhs.astype(opr.K.dtype))
+        u = factor(opr.K).solve(rhs.astype(opr.K.dtype))
     resid = np.linalg.norm(opr.K @ u - rhs)
-    scale = max(np.linalg.norm(rhs),
-                abs(opr.K).max() * np.linalg.norm(u), 1e-300)
+    scale = max(np.linalg.norm(rhs), abs(opr.K).max() * np.linalg.norm(u), 1e-300)
     if resid > TOL_SOLVE * scale:
         raise RuntimeError(f"direct solve residual too large: {resid:.2e}")
     return u

@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Geometry1D",
@@ -106,16 +107,23 @@ class Geometry2D:
         labels = sorted(set(mask.ravel().tolist()) - {0})
         if labels != list(range(1, len(labels) + 1)):
             raise GeometryError("inclusion labels must be 1..m")
+        # the 4-neighbour cell pairs; those inside one inclusion make its graph
+        idx = np.arange(mask.size).reshape(mask.shape)
+        a = np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()])
+        b = np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()])
+        flat = mask.ravel()
+        la, lb = flat[a], flat[b]
+        same = (la == lb) & (la > 0)
+        component = connected_components(sp.coo_matrix(
+            (same[same], (a[same], b[same])), shape=(mask.size,) * 2), directed=False)[1]
         for lab in labels:
             cells = mask == lab
             if cells[0, :].any() or cells[-1, :].any() or cells[:, 0].any() or cells[:, -1].any():
                 raise GeometryError(f"inclusion {lab} touches the outer boundary")
-            _, ncomp = ndimage.label(cells)
-            if ncomp != 1:
+            if np.unique(component[flat == lab]).size != 1:
                 raise GeometryError(f"inclusion {lab} is not connected")
-        for a, b in ((mask[1:, :], mask[:-1, :]), (mask[:, 1:], mask[:, :-1])):
-            if np.any((a != b) & (a > 0) & (b > 0)):
-                raise GeometryError("inclusions must not share a face")
+        if np.any((la != lb) & (la > 0) & (lb > 0)):
+            raise GeometryError("inclusions must not share a face")
         self.mask.setflags(write=False)
 
     @property

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._roots import POLE_MARGIN
 from .dtn import _unit_stiffness_blocks
-from .fdm import build_grid, eigenpairs_below
+from .fdm import build_grid, eigenpairs_below, factor
 from .geometry import ContrastMedium, GeometryError
 
 __all__ = [
@@ -159,10 +158,7 @@ class ExteriorSystem:
         return w, v * np.sqrt(self.vol)
 
     def helmholtz_factor(self, lam):
-        shift = self.K_EE - lam * self.vol * sp.identity(
-            self.K_EE.shape[0], dtype=np.result_type(self.K_EE.dtype, type(lam)),
-            format="csc")
-        return spla.splu(shift.tocsc())
+        return factor(self.K_EE - lam * self.vol * sp.identity(self.K_EE.shape[0]))
 
 
 def _validate_bloch_k(medium: ContrastMedium) -> None:
@@ -212,7 +208,7 @@ class CharacteristicDeterminant:
         """Exterior solutions (columns) for unit data on each interface."""
         lu = self.ext.helmholtz_factor(lam)
         rhs = -(self.ext.K_EG @ self.ext.C)
-        return lu.solve(np.asarray(rhs, dtype=lu.U.dtype))
+        return lu.solve(np.asarray(rhs))
 
     def matrix(self, lam: float) -> np.ndarray:
         U = self.solves(lam)
@@ -247,7 +243,7 @@ def exterior_helmholtz_solve(medium: ContrastMedium, lam: float, c: np.ndarray,
         raise ResonanceError(f"lambda={lam} is an exterior resonance")
     c = np.asarray(c, dtype=complex if ext.K_EE.dtype.kind == "c" else float)
     lu = ext.helmholtz_factor(lam)
-    u_ext = lu.solve(np.asarray(-(ext.K_EG @ (ext.C @ c)), dtype=lu.U.dtype))
+    u_ext = lu.solve(np.asarray(-(ext.K_EG @ (ext.C @ c))))
     return _full_field(ext, u_ext, c)
 
 
@@ -394,7 +390,7 @@ def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
     if abs(total) > 1e-12 * max(1.0, np.max(np.abs(f))):
         raise GeometryError("source must have zero mesh mean under Neumann closure")
     f_ext = f[ext.idx_out]
-    lu = spla.splu(ext.K_EE)
+    lu = factor(ext.K_EE)
     u_t = lu.solve(ext.vol * f_ext)
     domain_vol = ext.grid.ncells * ext.vol
     c0 = -np.sum(u_t) * ext.vol / domain_vol
@@ -427,6 +423,6 @@ def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
     rhs = np.concatenate([f[ext.idx_out],
                           [np.sum(f[ext.grid.labels == i + 1]) for i in range(m)]])
     rhs = ext.vol * rhs.astype(dtype)
-    x = spla.splu((A.astype(dtype) - z * sp.diags(mass)).tocsc()).solve(rhs)
+    x = factor(A.astype(dtype) - z * sp.diags(mass)).solve(rhs)
     nE = ext.K_EE.shape[0]
     return _full_field(ext, x[:nE], x[nE:])

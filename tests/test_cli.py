@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line front end on small configs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,3 +196,12 @@ def test_validation_failure_exit_4(tmp_path, monkeypatch):
                         lambda *a, **k: {"criteria": [], "passed": False})
     cfg = write_cfg(tmp_path, "c.json", {"medium": med1d()})
     assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+def test_cli_import_skips_ndimage_and_optimize():
+    code = ("import sys, highcontrast.cli\n"
+            "print([m for m in ('scipy.ndimage', 'scipy.optimize') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from highcontrast import fdm
+from highcontrast import fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
                                    Geometry2D, GeometryError, rectangles_to_mask)
 
@@ -131,6 +134,60 @@ class TestEigen:
         res = fdm.smallest_eigenpairs(opr, 3)
         G = res.eigenvectors.T @ res.eigenvectors * opr.grid.cell_volume
         assert np.allclose(G, np.eye(3), atol=1e-8)
+
+
+class TestShiftInvert:
+    """Every path of the one shift-invert eigensolver against dense eigh."""
+
+    @staticmethod
+    def dense(opr):
+        return sla.eigh(opr.K.toarray(), eigvals_only=True) / opr.grid.cell_volume
+
+    def test_2d_dirichlet(self):
+        opr = fdm.assemble(med2d(1e-2))
+        res = fdm.smallest_eigenpairs(opr, 6)
+        assert np.allclose(res.eigenvalues, self.dense(opr)[:6], rtol=1e-10, atol=0)
+        G = res.eigenvectors.T @ res.eigenvectors * opr.grid.cell_volume
+        assert np.allclose(G, np.eye(6), atol=1e-10)
+
+    def test_neumann_constant_mode_excluded(self):
+        opr = fdm.assemble(med2d(1e-2, bc=BoundaryKind.neumann()))
+        res = fdm.smallest_eigenpairs(opr, 5)
+        ref = self.dense(opr)
+        assert abs(ref[0]) < 1e-8 and abs(res.metadata["constant_mode_lambda"]) < 1e-8
+        assert np.allclose(res.eigenvalues, ref[1:6], rtol=1e-10, atol=0)
+
+    def test_2d_bloch_degenerate_pair(self):
+        # phase -1 on both axes: the square's rotations make lambda_3 double
+        opr = fdm.assemble(med2d(1e-2, bc=BoundaryKind.bloch((np.pi, np.pi))))
+        assert opr.is_complex
+        res = fdm.smallest_eigenpairs(opr, 4)
+        ref = self.dense(opr)[:4]
+        assert ref[3] - ref[2] < 1e-10 * ref[2]
+        assert np.allclose(res.eigenvalues, ref, rtol=1e-10, atol=0)
+        V = res.eigenvectors
+        assert np.allclose(V.conj().T @ V * opr.grid.cell_volume, np.eye(4), atol=1e-10)
+        R = opr.matrix @ V - V * res.eigenvalues
+        assert np.linalg.norm(R, axis=0).max() < 1e-8 * np.linalg.norm(V, axis=0).min()
+
+    def test_window_mode_on_a_mass_pencil(self):
+        # Neumann limit pencil: the zero eigenvalue sits inside the window
+        ext = limitspec.build_exterior(med2d(0.0, bc=BoundaryKind.neumann()))
+        A, mass = ext.pencil()
+        w, X = fdm.eigenpairs_below(A, mass, 300.0)
+        ref = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
+        ref = ref[ref <= 300.0]
+        assert w.size == ref.size and abs(w[0]) < 1e-8
+        assert np.allclose(w[1:], ref[1:], rtol=1e-10, atol=0)
+        assert np.allclose(X.T @ (mass[:, None] * X), np.eye(w.size), atol=1e-10)
+
+    def test_factor_fill_below_default_ordering(self):
+        K = fdm.assemble(med2d(1e-2, h=1 / 96)).K
+        assert fdm.factor(K).nnz < spla.splu(K.tocsc()).nnz
+
+    def test_factor_failure_is_an_eigensolver_error(self):
+        with pytest.raises(fdm.EigensolverError):
+            fdm.factor(sp.csc_matrix((3, 3)))
 
 
 class TestSolve:

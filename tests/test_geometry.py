@@ -72,6 +72,16 @@ def test_touching_inclusions_rejected():
     Geometry2D(1.0, 1.0, 1 / 16, rectangles_to_mask(1.0, 1.0, 1 / 16, corners))
 
 
+@pytest.mark.parametrize("second", [(slice(9, 12), slice(9, 12)),    # apart
+                                    (slice(5, 8), slice(5, 8))])     # corners meet
+def test_disconnected_inclusion_rejected(second):
+    mask = np.zeros((16, 16), dtype=int)
+    mask[2:5, 2:5] = 1
+    mask[second] = 1
+    with pytest.raises(GeometryError, match="not connected"):
+        Geometry2D(1.0, 1.0, 1 / 16, mask)
+
+
 def test_refine_preserves_measure():
     mask = rectangles_to_mask(1.0, 1.0, 1 / 8, [(0.25, 0.75, 0.25, 0.75)])
     g = Geometry2D(1.0, 1.0, 1 / 8, mask)

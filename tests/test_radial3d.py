@@ -140,3 +140,14 @@ def test_radial_operator_matches_face_loop(bc):
     ref = loop_radial(r[100:], opr.h, np.ones(100), [0, 100])
     assert np.max(np.abs(K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert K[0, 0] + K[0, 1] == pytest.approx(g_if, rel=1e-13)   # the tie to the trace dof
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_radial_eigenpairs_match_dense_generalized(bc):
+    opr = radial3d.radial_operator(A, 1e-2, 200, bc=bc)
+    w, v, res = radial3d.radial_eigenpairs(opr, 4)
+    ref = sla.eigh(opr.K.toarray(), np.diag(opr.M), eigvals_only=True)
+    ref = ref[1:5] if bc == "neumann" else ref[:4]
+    assert np.allclose(w, ref, rtol=1e-10, atol=0)
+    assert np.allclose(v.T @ (opr.M[:, None] * v), np.eye(4), atol=1e-10)
+    assert res.max() < 1e-8
