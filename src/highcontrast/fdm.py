@@ -337,14 +337,19 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: flo
     order = np.argsort(w)
     if lam_max is not None:
         order = order[w[order] <= lam_max]
-    w = w[order]
-    q, r = np.linalg.qr(y[:, order] / np.linalg.norm(y[:, order], axis=0))
-    d = np.diag(r)
-    if w.size and np.min(np.abs(d)) < 1e-8:
-        raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
-    y = q * (d / np.abs(d))     # Gram-Schmidt phases: an orthonormal basis stays as it is
+    w, y = w[order], y[:, order]
+    # complex (Arnoldi) ARPACK returns a degenerate eigenspace in an arbitrary
+    # basis; only then is a QR paid for.  numpy's threaded LAPACK slows the
+    # ARPACK calls after it (a QR per solve made the bands study 60% slower);
+    # einsum calls no BLAS.
+    if not np.allclose(np.einsum("ij,ik->jk", y.conj(), y), np.eye(w.size), atol=1e-10):
+        q, r = np.linalg.qr(y / np.linalg.norm(y, axis=0))
+        d = np.diag(r)
+        if np.min(np.abs(d)) < 1e-8:
+            raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
+        y = q * (d / np.abs(d))     # Gram-Schmidt phases
     x = y / root[:, None]
-    scale = (1.0 / root) @ (abs(A) @ (1.0 / root)) / n
+    scale = np.sum(abs(A) @ (1.0 / root) / root) / n
     res = (np.linalg.norm((A @ x) / root[:, None] - y * w, axis=0)
            / np.maximum(np.abs(w), 1e-3 * scale))
     if (res > TOL_EIG).any():

@@ -115,7 +115,7 @@ class Geometry2D:
         la, lb = flat[a], flat[b]
         same = (la == lb) & (la > 0)
         component = connected_components(sp.coo_matrix(
-            (same[same], (a[same], b[same])), shape=(mask.size,) * 2), directed=False)[1]
+            (np.ones(same.sum()), (a[same], b[same])), shape=(mask.size,) * 2), directed=False)[1]
         for lab in labels:
             cells = mask == lab
             if cells[0, :].any() or cells[-1, :].any() or cells[:, 0].any() or cells[:, -1].any():
