@@ -299,20 +299,17 @@ def factor(A: sp.spmatrix):
 
 def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: float,
                             lam_max: float = None):
-    """Eigenpairs of A x = lam diag(mass) x nearest above the shift sigma.
+    """Eigenpairs (lam, X, residuals), ascending, of A x = lam diag(mass) x
+    nearest above sigma: k pairs, or with ``lam_max`` all pairs <= lam_max
+    (k doubles until the largest passes it).  X is mass-orthonormal.
 
-    ``A`` is Hermitian, ``mass`` positive.  ARPACK sees B y = lam y with
-    B = D^-1/2 A D^-1/2, D = diag(mass), x = D^-1/2 y, and no mass matrix
-    (its complex generalized mode leaves a reference cycle).  B is never
-    formed (rounding its entries put radial eigenvalues at epsilon = 1e-4 off
-    by 2e-7, against 1e-9 here): A - sigma D is factored once, and
-    D^1/2 (A - sigma D)^-1 D^1/2 is the OPinv of ``eigsh``.
-
-    Returns (lam, X, residuals), ascending: the k pairs nearest sigma, or
-    with ``lam_max`` all pairs <= lam_max, doubling k until the largest
-    passes it.  X is mass-orthonormal, degenerate eigenspaces included.  The
-    residuals |B y - lam y| / max(|lam|, 1e-3 mean |row| sum of B) must
-    stay below ``TOL_EIG``.
+    ARPACK sees B y = lam y, B = D^-1/2 A D^-1/2, D = diag(mass), x = D^-1/2 y
+    (a mass matrix would leave a reference cycle in its complex mode).  B is
+    never formed (rounding it put radial eigenvalues at epsilon = 1e-4 off by
+    2e-7, against 1e-9 here): A - sigma D is factored once and
+    D^1/2 (A - sigma D)^-1 D^1/2 is the OPinv of ``eigsh``.  The residuals
+    |B y - lam y| / max(|lam|, 1e-3 mean |row| sum of B) must stay below
+    ``TOL_EIG``.
     """
     n = A.shape[0]
     root = np.sqrt(mass)
@@ -366,9 +363,8 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     k_ask = count + 1 if neumann else count
     sigma = -1e-8 * abs(opr.K).sum() / (n * vol) if neumann else 0.0
     w, v, res = shift_invert_eigenpairs(opr.K, np.full(n, vol), k_ask, sigma)
-    meta = {"solver": "eigsh shift-invert", "requested": k_ask}
+    meta = {"constant_mode_lambda": float(w[0])} if neumann else {}
     if neumann:
-        meta["constant_mode_lambda"] = float(w[0])
         w, v, res = w[1:], v[:, 1:], res[1:]
     return SpectrumResult(w, v, res, opr.medium.epsilon, _geometry_tag(opr.medium), meta)
 
