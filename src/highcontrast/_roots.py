@@ -49,12 +49,14 @@ def windows_between_poles(lo: float, hi: float, poles: Sequence[float],
     return windows
 
 
-def scan_roots(f: Callable[[float], float], lo: float, hi: float,
+def scan_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                poles: Sequence[float] = (), step: float = None,
                n_min: int = 64, xtol: float = 1e-12,
                cluster_tol: float = 1e-6) -> RootReport:
     """All simple roots of ``f`` on (lo, hi) away from ``poles``.
 
+    ``f`` takes arrays: it is called once per window on the whole scan
+    grid, elementwise, and with scalars while Brent's method polishes.
     ``step`` is the scan resolution (defaults to splitting each window in
     ``n_min`` pieces); sign changes are bisected by Brent's method to
     ``xtol`` and polished values are returned sorted.  A sign change whose
@@ -67,7 +69,7 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     for a, b in windows_between_poles(lo, hi, poles):
         n = max(n_min, int(np.ceil((b - a) / step)) if step else n_min)
         xs = np.linspace(a, b, n + 1)
-        vals = np.array([f(x) for x in xs])
+        vals = f(xs)
         sign = np.sign(vals)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
             r = brentq(f, xs[i], xs[i + 1], xtol=xtol, rtol=8 * np.finfo(float).eps)

@@ -20,7 +20,8 @@ import os
 import sys
 
 import numpy as np
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import bloch, dtn, exact1d, fdm, limitspec, radial3d
 from .geometry import (ContrastMedium, Geometry1D, Geometry2D, GeometryError,
@@ -70,6 +71,11 @@ CONFIG_SCHEMA = {
 }
 
 
+#: Built once: ``CONFIG_SCHEMA`` is a constant, and the test suite checks it
+#: against its meta-schema, so no call re-checks it.
+_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -81,10 +87,9 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}") from error
     return cfg
 
 
@@ -269,9 +274,10 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
             entry["flatness_C"] = float(Cfit)
         branches.append(entry)
 
-    rows = [(float(e), j + 1, float(table[i, j]))
-            for i, e in enumerate(eps_list) for j in range(count)]
-    _emit(rows, "epsilon,branch,lambda", os.path.join(out, "converge.csv"), fmt)
+    if fmt == "csv":   # a JSON table would take the report's name; the report holds it
+        rows = [(float(e), j + 1, float(table[i, j]))
+                for i, e in enumerate(eps_list) for j in range(count)]
+        _emit(rows, "epsilon,branch,lambda", os.path.join(out, "converge.csv"), fmt)
     report = {"eps_list": eps_list, "branches": branches,
               "passed": all(b.get("passed", True) for b in branches)}
     _write_json(os.path.join(out, "converge.json"), report)

@@ -228,20 +228,20 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
 
     m = int(incl_of.max())
     C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
-    # orthonormal basis of the per-inclusion zero-mean subspace
-    zs = []
-    for i in range(1, m + 1):
-        sel = np.nonzero(incl_of == i)[0]
-        ni = sel.size
+    # orthonormal basis of the per-inclusion zero-mean subspace: columns
+    # 2..n_i of the Householder reflector I - 2 v v^T / v^T v that maps e_1 to
+    # the unit constant 1/sqrt(n_i) (v = e_1 - 1/sqrt(n_i)), no factorization
+    counts = np.bincount(incl_of, minlength=m + 1)[1:]
+    Z = np.zeros((nG, int(np.sum(np.maximum(counts - 1, 0)))))
+    col = 0
+    for i, ni in enumerate(counts, start=1):
         if ni < 2:
             continue
-        block = np.eye(ni) - np.full((ni, ni), 1.0 / ni)
-        q, _ = np.linalg.qr(block)
-        q = q[:, :ni - 1]
-        Zi = np.zeros((nG, ni - 1))
-        Zi[sel, :] = q
-        zs.append(Zi)
-    Z = np.hstack(zs) if zs else np.zeros((nG, 0))
+        v = np.full(ni, -1.0 / np.sqrt(ni))
+        v[0] += 1.0
+        Z[incl_of == i, col:col + ni - 1] = (np.eye(ni)[:, 1:]
+                                             - np.outer(v, v[1:]) * (2.0 / (v @ v)))
+        col += ni - 1
     if np.iscomplexobj(Nm):
         Z = Z.astype(complex)
         C_use = C.astype(complex)

@@ -82,18 +82,21 @@ class CharacteristicFunction:
         return eval_char(self, lam)
 
 
-def eval_char(cf: CharacteristicFunction, lam: float) -> float:
-    """Residual of the characteristic equation at lambda > 0.
+def eval_char(cf: CharacteristicFunction, lam):
+    """Residual of the characteristic equation at lambda > 0, elementwise
+    over an array of lambdas.
 
-    Raises :class:`PoleProximityError` within ``TOL_POLE`` (in sqrt(lambda))
-    of a pole; the caller must re-bracket.
+    Raises :class:`PoleProximityError` if any lambda lies within
+    ``TOL_POLE`` (in sqrt(lambda)) of a pole; the caller must re-bracket.
     """
-    if lam <= 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError("characteristic functions are defined for lambda > 0")
     s = np.sqrt(lam)
-    for p in char_poles(cf, lam_max=lam * (1 + 4 * TOL_POLE) + 1):
-        if abs(np.sqrt(p) - s) < TOL_POLE:
-            raise PoleProximityError(f"lambda={lam} within tol of pole {p}")
+    for p in char_poles(cf, lam_max=lam.max() * (1 + 4 * TOL_POLE) + 1):
+        near = np.abs(np.sqrt(p) - s) < TOL_POLE
+        if np.any(near):
+            raise PoleProximityError(f"lambda={lam[near][0]} within tol of pole {p}")
     if cf.kind == "dirichlet_S2":
         la, lb = 1 + cf.a, 1 - cf.b
         return 1 / np.tan(s * la) + 1 / np.tan(s * lb) - s * (cf.b - cf.a)
@@ -141,15 +144,21 @@ def _segments(geom: Geometry1D, eps: float) -> list[tuple[float, float, float]]:
     return segs
 
 
-def _propagate(lam: float, length: float, sigma: float) -> np.ndarray:
-    """Transfer matrix of the state (u, sigma*u') across one segment."""
-    kappa = np.sqrt(lam / sigma)
+def _propagate(lam, length: float, sigma: float) -> np.ndarray:
+    """Transfer matrices of the state (u, sigma*u') across one segment,
+    shape ``lam.shape + (2, 2)``."""
+    kappa = np.sqrt(np.asarray(lam, dtype=float) / sigma)
     c, sn = np.cos(kappa * length), np.sin(kappa * length)
-    return np.array([[c, sn / (sigma * kappa)], [-sigma * kappa * sn, c]])
+    P = np.empty(kappa.shape + (2, 2))
+    P[..., 0, 0] = P[..., 1, 1] = c
+    P[..., 0, 1] = sn / (sigma * kappa)
+    P[..., 1, 0] = -sigma * kappa * sn
+    return P
 
 
-def transfer_trace(geom: Geometry1D, eps: float, lam: float) -> np.ndarray:
-    """Total transfer matrix of (u, sigma*u') across the whole interval."""
+def transfer_trace(geom: Geometry1D, eps: float, lam) -> np.ndarray:
+    """Total transfer matrices of (u, sigma*u') across the whole interval,
+    one per lambda: shape ``lam.shape + (2, 2)``."""
     M = np.eye(2)
     for x0, x1, sigma in _segments(geom, eps):
         M = _propagate(lam, x1 - x0, sigma) @ M
@@ -158,18 +167,18 @@ def transfer_trace(geom: Geometry1D, eps: float, lam: float) -> np.ndarray:
 
 def _char_transfer(geom: Geometry1D, eps: float, bc: BoundaryKind):
     """Entire determinant function whose zeros are the eps > 0 eigenvalues."""
-    if bc.kind == "dirichlet":
+    if bc.kind == "dirichlet":           # u(end) of the start state (0, 1)
         def f(lam):
-            return (transfer_trace(geom, eps, lam) @ np.array([0.0, 1.0]))[0]
-    elif bc.kind == "neumann":
+            return transfer_trace(geom, eps, lam)[..., 0, 1]
+    elif bc.kind == "neumann":           # flux(end) of the start state (1, 0)
         def f(lam):
-            return (transfer_trace(geom, eps, lam) @ np.array([1.0, 0.0]))[1]
+            return transfer_trace(geom, eps, lam)[..., 1, 0]
     elif bc.kind == "bloch":
         period = geom.x_hi - geom.x_lo
         rhs = 2 * np.cos(bc.k * period)
 
         def f(lam):
-            return np.trace(transfer_trace(geom, eps, lam)) - rhs
+            return np.trace(transfer_trace(geom, eps, lam), axis1=-2, axis2=-1) - rhs
     else:
         raise GeometryError(f"unsupported bc {bc.kind!r}")
     return f
@@ -288,7 +297,7 @@ def transfer_spectrum_1d(geom: Geometry1D, eps: float, bc: BoundaryKind,
     funcs = []
     for lam in lams:
         funcs.append(_eigenfunction_from_state(geom, eps, lam, _start_state(geom, eps, bc, lam)))
-    residuals = np.array([abs(f(lam)) for lam in lams])
+    residuals = np.abs(f(lams))
     clusters = tuple((s1 * s1, s2 * s2) for s1, s2 in rep.clusters)
     return Spectrum1D(lams, tuple(funcs), residuals, clusters)
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from ._roots import scan_roots
-from .fdm import (ALIGN_TOL, eigenpairs_below, face_matrix, factor,
-                  harmonic_means, shift_invert_eigenpairs)
+from .fdm import (ALIGN_TOL, eigenpairs_below, face_matrix, harmonic_means,
+                  shift_invert_eigenpairs)
 from .geometry import GeometryError
 
 __all__ = [
@@ -204,15 +205,26 @@ def _exterior_radial(a: float, n_grid: int):
 def sphere_det_scan(a: float, lam_max: float, n_grid: int):
     """Limit eigenvalues from the discrete radial flux equation
     T(lam) = 4 pi [flux of the unit-trace exterior solve] + lam |ball|;
-    cross-checks the closed-form roots on the finite-volume grid."""
+    cross-checks the closed-form roots on the finite-volume grid.
+
+    The exterior block is tridiagonal, so each solve of T is a banded LU
+    with partial pivoting (K - lam M is indefinite past the first pole)."""
     K, M, g_if = _exterior_radial(a, n_grid)
     ball = 4.0 / 3.0 * np.pi * a ** 3
     e0 = np.zeros(K.shape[0]); e0[0] = g_if
+    band = np.zeros((3, K.shape[0]))          # (super, main, sub) diagonals
+    band[0, 1:], band[1], band[2, :-1] = K.diagonal(1), K.diagonal(), K.diagonal(-1)
+    mass = M.diagonal()
+
+    def u0(lam):
+        ab = band.copy()
+        ab[1] -= lam * mass
+        return solve_banded((1, 1), ab, e0, overwrite_ab=True)[0]
 
     def T(lam):
-        u = factor(K - lam * M).solve(e0)
-        return 4.0 * np.pi * g_if * (u[0] - 1.0) + lam * ball
+        return (4.0 * np.pi * g_if * (np.vectorize(u0, otypes=[float])(lam) - 1.0)
+                + lam * ball)
 
-    poles = eigenpairs_below(K, M.diagonal(), lam_max * 1.05)[0]
+    poles = eigenpairs_below(K, mass, lam_max * 1.05)[0]
     report = scan_roots(T, 1e-9, lam_max, poles=poles, xtol=1e-13)
     return list(report.roots)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -164,6 +165,43 @@ def test_validate_builds_one_dtn_system(tmp_path, monkeypatch):
 def test_unread_config_keys_exit_2(tmp_path, key, value):
     cfg = write_cfg(tmp_path, "c.json", {"medium": med1d(), key: value})
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_config_schema_is_valid():
+    cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    cls.check_schema(cli.CONFIG_SCHEMA)
+    # the class jsonschema.validate would pick for this schema
+    assert type(cli._VALIDATOR) is cls is jsonschema.Draft202012Validator
+
+
+def test_load_config_skips_schema_check(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("schema re-checked on a config load")
+
+    monkeypatch.setattr(type(cli._VALIDATOR), "check_schema", refuse)
+    good = write_cfg(tmp_path, "good.json", {"medium": med1d(), "count": 2})
+    assert cli.load_config(good)["count"] == 2
+    bad = write_cfg(tmp_path, "bad.json", {"medium": med1d(), "count": 0})
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(bad)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"medium": med1d(), "frobnicate": 1},
+    {"medium": med1d(), "count": 0},
+    {"medium": med1d(), "count": 2.5, "lambda_max": -1.0},
+    {"medium": {**med1d(), "bc": {"bloch": "x"}}},
+    {"medium": {**med1d(), "epsilon": -1.0, "h": 0}},
+    {"medium": {"dim": 3, "epsilon": 0.0}},
+    {"count": 2},
+    [],
+])
+def test_config_error_message_matches_jsonschema(tmp_path, cfg):
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    with pytest.raises(cli.ConfigError) as got:
+        cli.load_config(write_cfg(tmp_path, "c.json", cfg))
+    assert str(got.value) == f"invalid config: {ref.value.message}"
 
 
 def test_task_mismatch_exit_2(tmp_path):

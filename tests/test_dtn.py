@@ -66,6 +66,23 @@ def test_trace_decomposition_orthogonal(sym_sys):
     assert np.allclose(tr2.constants, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("med, n", [
+    (ContrastMedium(ASYM, 1e-2, BoundaryKind.bloch(0.7)), 200),
+    (ContrastMedium(Geometry2D(1.0, 1.0, 1 / 32, rectangles_to_mask(
+        1.0, 1.0, 1 / 32, [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625)
+                           for y in (0.125, 0.625)])), 1e-2, BoundaryKind.dirichlet()), None),
+])
+def test_zero_mean_basis(med, n):
+    sysd = dtn.build_dtn(med, n)
+    Z, C = sysd.Z, sysd.C
+    assert Z.shape == (C.shape[0], C.shape[0] - C.shape[1])
+    assert np.max(np.abs(Z.conj().T @ Z - np.eye(Z.shape[1]))) < 1e-12
+    assert np.max(np.abs(C.T @ Z)) < 1e-12
+    # the per-inclusion centring projector I - C diag(1/n_i) C^T
+    proj = np.eye(C.shape[0]) - (C / C.sum(axis=0)) @ C.T
+    assert np.max(np.abs(Z @ Z.conj().T - proj)) < 1e-12
+
+
 def test_effective_source_constant(sym_sys):
     f = np.where(sym_sys.grid.labels > 0, 1.0, 0.0)
     tr = dtn.solve_block_system(sym_sys, 0.0, f)

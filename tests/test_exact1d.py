@@ -35,6 +35,44 @@ def test_scan_roots_rejects_unlisted_pole():
     assert max(rep.residuals) < 1e-12
 
 
+def test_scan_roots_evaluates_each_window_in_one_call():
+    grids = []
+
+    def f(x):
+        if np.ndim(x):
+            grids.append(np.size(x))
+        return np.sin(x)
+
+    rep = _roots.scan_roots(f, 0.5, 10.0, poles=[2.0, 7.0], step=0.05)
+    assert len(grids) == len(_roots.windows_between_poles(0.5, 10.0, [2.0, 7.0]))
+    assert np.allclose(rep.roots, np.pi * np.arange(1, 4), atol=1e-10)
+
+
+def loop_transfer(geom, eps, lam):
+    """Per-lambda product of hand-built 2x2 segment matrices (reference)."""
+    pts = [geom.x_lo, *geom.interfaces, geom.x_hi]
+    M = np.eye(2)
+    for i, (x0, x1) in enumerate(zip(pts[:-1], pts[1:])):
+        sigma = 1.0 / eps if i % 2 == 1 else 1.0
+        k, L = np.sqrt(lam / sigma), x1 - x0
+        P = np.array([[np.cos(k * L), np.sin(k * L) / (sigma * k)],
+                      [-sigma * k * np.sin(k * L), np.cos(k * L)]])
+        M = P @ M
+    return M
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-2])
+def test_transfer_trace_broadcasts_over_lambda(eps):
+    geom = Geometry1D(-1.0, 1.0, ((-0.6, 0.2),))
+    lams = np.linspace(0.3, 300.0, 41)
+    got = exact1d.transfer_trace(geom, eps, lams)
+    assert got.shape == (41, 2, 2)
+    for lam, M in zip(lams, got):
+        ref = loop_transfer(geom, eps, lam)
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert exact1d.transfer_trace(geom, eps, lams[3]).shape == (2, 2)
+
+
 def test_scan_windows_avoid_poles():
     wins = _roots.windows_between_poles(0.0, 10.0, [3.0, 7.0])
     assert len(wins) == 3
@@ -66,6 +104,11 @@ def test_pole_proximity_guard():
     pole = exact1d.char_poles(cf, 50.0)[0]
     with pytest.raises(exact1d.PoleProximityError):
         exact1d.eval_char(cf, pole)
+    with pytest.raises(exact1d.PoleProximityError):   # one bad entry of an array
+        exact1d.eval_char(cf, np.array([1.0, pole, 20.0]))
+    lams = np.array([1.0, 3.0, 20.0])
+    assert np.array_equal(exact1d.eval_char(cf, lams),
+                          [exact1d.eval_char(cf, l) for l in lams])
 
 
 def test_limit_spectrum_symmetric_dirichlet():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import brentq
 
 from highcontrast import radial3d
 from highcontrast.geometry import GeometryError
@@ -93,6 +94,25 @@ def test_det_scan_matches_closed_form():
     ref = [l for l, _ in radial3d.sphere_limit_spectrum(A, 45.0)[0]]
     assert len(got) == len(ref)
     assert np.allclose(got, ref, rtol=1e-5)
+
+
+def test_det_scan_matches_dense_flux_equation():
+    """Each root zeroes the same flux equation solved with a dense LU."""
+    K, M, g_if = radial3d._exterior_radial(A, 200)
+    pencil_K, mass = K.toarray(), M.diagonal()
+    ball = 4.0 / 3.0 * np.pi * A ** 3
+    e0 = np.zeros(mass.size)
+    e0[0] = g_if
+
+    def T(lam):
+        u = np.linalg.solve(pencil_K - lam * np.diag(mass), e0)
+        return 4.0 * np.pi * g_if * (u[0] - 1.0) + lam * ball
+
+    roots = radial3d.sphere_det_scan(A, 300.0, 200)
+    assert len(roots) == 3
+    for r in roots:
+        ref = brentq(T, r * (1 - 1e-6), r * (1 + 1e-6), xtol=1e-14)
+        assert r == pytest.approx(ref, rel=1e-11)
 
 
 def test_det_scan_interlaces_poles_beyond_forty():
