@@ -64,13 +64,6 @@ def _validate_k_grid(k_grid) -> np.ndarray:
     return ks
 
 
-def _first_n_positive(eigs: np.ndarray, count: int) -> np.ndarray:
-    vals = np.sort(eigs[eigs > limitspec.LAM_FLOOR])
-    if vals.size < count:
-        raise RuntimeError(f"found {vals.size} of {count} requested branches")
-    return vals[:count]
-
-
 def _spectrum_1d(geom: Geometry1D, eps: float, k: float, count: int) -> np.ndarray:
     """First ``count`` quasi-periodic eigenvalues of the 1D cell, exact."""
     bc = BoundaryKind.bloch(k)
@@ -83,8 +76,9 @@ def _spectrum_1d(geom: Geometry1D, eps: float, k: float, count: int) -> np.ndarr
             a = geom.inclusions[0][1]
             pts = exact1d.bloch_limit_curve(a, [k], lam_max)
             eigs = np.array([p.lam for p in pts])
-        if np.count_nonzero(eigs > limitspec.LAM_FLOOR) >= count:
-            return _first_n_positive(eigs, count)
+        eigs = np.sort(eigs[eigs > limitspec.LAM_FLOOR])
+        if eigs.size >= count:
+            return eigs[:count]
         lam_max *= 2.0
     raise RuntimeError(f"could not collect {count} branches at k={k}, eps={eps}")
 
@@ -98,45 +92,47 @@ def _is_symmetric_cell(geom: Geometry1D) -> bool:
 
 def _spectrum_2d(medium: ContrastMedium, eps: float, k: float, count: int,
                  n: int = None) -> np.ndarray:
-    bc = BoundaryKind.bloch(k)
-    med = ContrastMedium(medium.geometry, eps if eps > 0 else 0.0, bc)
-    if eps > 0:
-        opr = fdm.assemble(med, n)
-        res = fdm.smallest_eigenpairs(opr, count + 2)
-        return _first_n_positive(res.eigenvalues, count)
-    spec = limitspec.limit_spectrum(med, 16.0 * (count + 1) ** 2, n)
-    return _first_n_positive(spec.eigenvalues, count)
+    """First ``count`` eigenvalues of the phase-twisted grid operator, eps > 0."""
+    opr = fdm.assemble(ContrastMedium(medium.geometry, eps, BoundaryKind.bloch(k)), n)
+    return limitspec._lowest_positive(lambda j: fdm.smallest_eigenpairs(opr, j).eigenvalues,
+                                      count)
 
 
 def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
                      eps_list, n: int = None) -> BandStructure:
     """Band structure over k_grid x eps_list (eps = 0 rows use the limit solver).
 
-    1D cells use exact transfer matrices at every contrast; 2D cells use
-    the grid assembly (``n`` forwarded where a grid is needed).  Bloch
-    numbers within DELTA_K of an integer are rejected.
+    1D cells use exact transfer matrices at every contrast, and the closed
+    form at eps = 0 on a symmetric cell; 2D cells use the grid assembly
+    (``n`` forwarded where a grid is needed).  The other eps = 0 rows share
+    one limit pencil, built once per sweep and re-phased per Bloch number.
+    Bloch numbers within DELTA_K of an integer are rejected.
     """
     if branch_count < 1:
         raise ValueError("branch_count must be >= 1")
     ks = _validate_k_grid(k_grid)
     geom = medium.geometry
+    if not isinstance(geom, (Geometry1D, Geometry2D)):
+        raise GeometryError("dispersion sweeps support 1D and 2D cells")
+    on_pencil = isinstance(geom, Geometry2D) or (bool(geom.inclusions)
+                                                 and not _is_symmetric_cell(geom))
+    pencil = None
     branches, crossings = {}, []
     for eps in eps_list:
         if eps < 0:
             raise ValueError("contrast values must be >= 0")
         rows = []
         for k in ks:
-            if isinstance(geom, Geometry1D):
-                if eps == 0 and geom.inclusions and not _is_symmetric_cell(geom):
-                    med = ContrastMedium(geom, 0.0, BoundaryKind.bloch(float(k)))
-                    spec = limitspec.limit_spectrum(med, 16.0 * (branch_count + 1) ** 2, n)
-                    row = _first_n_positive(spec.eigenvalues, branch_count)
-                else:
-                    row = _spectrum_1d(geom, float(eps), float(k), branch_count)
-            elif isinstance(geom, Geometry2D):
-                row = _spectrum_2d(medium, float(eps), float(k), branch_count, n)
+            if eps == 0 and on_pencil:
+                if pencil is None:
+                    pencil = limitspec._BlochPencil(
+                        ContrastMedium(geom, 0.0, BoundaryKind.bloch(float(ks[0]))), n)
+                row = limitspec._lowest_eigenvalues(pencil.at(float(k)), pencil.mass,
+                                                    branch_count)
+            elif isinstance(geom, Geometry1D):
+                row = _spectrum_1d(geom, float(eps), float(k), branch_count)
             else:
-                raise GeometryError("dispersion sweeps support 1D and 2D cells")
+                row = _spectrum_2d(medium, float(eps), float(k), branch_count, n)
             rows.append(row)
         arr = np.vstack(rows)
         for i, k in enumerate(ks):

@@ -20,6 +20,7 @@ determines the inclusion value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +57,8 @@ class DtNSystem:
     per-inclusion constants into traces; ``Z`` is an orthonormal basis of
     the per-inclusion zero-mean subspace.  ``Np11`` is the m x m constants
     block of the exterior flux map (strictly negative definite); the
-    interior map ``Nm`` annihilates constants per inclusion.
+    interior map ``Nm`` annihilates constants per inclusion.  The five
+    blocks are computed on first access and kept.
     """
 
     medium: ContrastMedium
@@ -90,23 +92,23 @@ class DtNSystem:
         """Diagonal of the constants block of the exterior flux map (all < 0)."""
         return np.real(np.diag(self.Np11))
 
-    @property
+    @cached_property
     def Np11(self) -> np.ndarray:
         return self.C.T @ self.Np @ self.C
 
-    @property
+    @cached_property
     def Np12(self) -> np.ndarray:
         return self.C.T @ self.Np @ self.Z
 
-    @property
+    @cached_property
     def Np21(self) -> np.ndarray:
         return self.Z.conj().T @ self.Np @ self.C
 
-    @property
+    @cached_property
     def Np22(self) -> np.ndarray:
         return self.Z.conj().T @ self.Np @ self.Z
 
-    @property
+    @cached_property
     def Nm22(self) -> np.ndarray:
         return self.Z.conj().T @ self.Nm @ self.Z
 
@@ -158,6 +160,11 @@ def interface_dofs(grid: Grid):
     return gamma, incl[gamma]
 
 
+def _unit_conductance(grid: Grid) -> float:
+    """Conductance of a face between two cells at unit coefficient."""
+    return 1.0 / grid.h * grid.h**(grid.dim - 1)
+
+
 def _unit_stiffness_blocks(grid: Grid):
     """Contrast-free stiffness blocks of the augmented (cells + face dofs) system.
 
@@ -169,7 +176,7 @@ def _unit_stiffness_blocks(grid: Grid):
     t = grid.faces
     area = grid.h**(grid.dim - 1)
     g_half = 2.0 / grid.h * area  # half-cell conductance at unit coefficient
-    g_full = 1.0 / grid.h * area
+    g_full = _unit_conductance(grid)
     gamma, incl_of = interface_dofs(grid)
     idx_in, idx_out = split_cells(grid)
     loc = np.empty(grid.ncells, dtype=int)

@@ -198,35 +198,45 @@ class Eigenfunction1D:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        filled = np.zeros(x.shape, dtype=bool)
-        for x0, x1, sigma, u0, du0 in self.segments:
-            kappa = np.sqrt(self.lam / sigma)
-            sel = (~filled) & (x >= x0 - 1e-14) & (x <= x1 + 1e-14)
-            t = x[sel] - x0
-            out[sel] = u0 * np.cos(kappa * t) + (du0 / kappa) * np.sin(kappa * t)
-            filled |= sel
+        out = _piecewise_values(self.lam, self.segments, x.ravel()).reshape(x.shape)
         res = out if np.iscomplexobj(np.array([s[3] for s in self.segments])) else out.real
         if res.ndim == 0:
             return res[()]
         return res
 
 
-def _eigenfunction_from_state(geom: Geometry1D, eps: float, lam: float,
-                              state0: np.ndarray) -> Eigenfunction1D:
+def _piecewise_values(lam, segments, x: np.ndarray) -> np.ndarray:
+    """Values at the points x (1D) of piecewise trigonometric functions with
+    per-segment (x0, x1, sigma, u0, du0), complex; with ``lam``, ``u0`` and
+    ``du0`` arrays over lambda, one row per lambda."""
+    lam = np.asarray(lam, dtype=float)[..., None]
+    out = np.zeros(lam.shape[:-1] + x.shape, dtype=complex)
+    filled = np.zeros(x.shape, dtype=bool)
+    for x0, x1, sigma, u0, du0 in segments:
+        kappa = np.sqrt(lam / sigma)
+        sel = (~filled) & (x >= x0 - 1e-14) & (x <= x1 + 1e-14)
+        t = x[sel] - x0
+        out[..., sel] = (np.asarray(u0)[..., None] * np.cos(kappa * t)
+                         + (np.asarray(du0)[..., None] / kappa) * np.sin(kappa * t))
+        filled |= sel
+    return out
+
+
+def _eigenfunctions(geom: Geometry1D, eps: float, lams: np.ndarray,
+                    states: np.ndarray) -> tuple[Eigenfunction1D, ...]:
+    """Eigenfunctions from their start states (u, sigma*u') at x_lo, one row
+    per lambda, each divided by its sample of largest modulus on 2001 points."""
+    state = np.asarray(states, dtype=complex)
     segs = []
-    state = np.asarray(state0, dtype=complex)
     for x0, x1, sigma in _segments(geom, eps):
-        u0, w0 = state
-        segs.append((x0, x1, sigma, u0, w0 / sigma))
-        state = _propagate(lam, x1 - x0, sigma) @ state
-    fn = Eigenfunction1D(lam, tuple(segs))
-    xs = np.linspace(geom.x_lo, geom.x_hi, 2001)
-    vals = np.asarray(fn(xs))
-    i = int(np.argmax(np.abs(vals)))
-    scale = vals[i] if abs(vals[i]) > 0 else 1.0
-    segs = tuple((x0, x1, s, u0 / scale, du0 / scale) for x0, x1, s, u0, du0 in fn.segments)
-    return Eigenfunction1D(lam, segs)
+        segs.append((x0, x1, sigma, state[:, 0], state[:, 1] / sigma))
+        state = (_propagate(lams, x1 - x0, sigma) @ state[:, :, None])[:, :, 0]
+    vals = _piecewise_values(lams, segs, np.linspace(geom.x_lo, geom.x_hi, 2001))
+    peak = vals[np.arange(len(lams)), np.argmax(np.abs(vals), axis=1)]
+    scale = np.where(np.abs(peak) > 0, peak, 1.0)
+    return tuple(Eigenfunction1D(lam, tuple((x0, x1, s, u0[j] / scale[j], du0[j] / scale[j])
+                                            for x0, x1, s, u0, du0 in segs))
+                 for j, lam in enumerate(lams))
 
 
 def _oscillation_count(geom: Geometry1D, eps: float, lam: float) -> int:
@@ -294,31 +304,30 @@ def transfer_spectrum_1d(geom: Geometry1D, eps: float, bc: BoundaryKind,
         if expected != len(lams):
             raise ScanResolutionError(
                 f"found {len(lams)} eigenvalues but oscillation count is {expected}")
-    funcs = []
-    for lam in lams:
-        funcs.append(_eigenfunction_from_state(geom, eps, lam, _start_state(geom, eps, bc, lam)))
+    funcs = _eigenfunctions(geom, eps, lams, _start_states(geom, eps, bc, lams))
     residuals = np.abs(f(lams))
     clusters = tuple((s1 * s1, s2 * s2) for s1, s2 in rep.clusters)
-    return Spectrum1D(lams, tuple(funcs), residuals, clusters)
+    return Spectrum1D(lams, funcs, residuals, clusters)
 
 
-def _start_state(geom: Geometry1D, eps: float, bc: BoundaryKind, lam: float) -> np.ndarray:
+def _start_states(geom: Geometry1D, eps: float, bc: BoundaryKind,
+                  lams: np.ndarray) -> np.ndarray:
+    """Start states (u, sigma*u') at x_lo of the eigenfunctions, one row per lambda."""
     if bc.kind == "dirichlet":
-        return np.array([0.0, 1.0])
+        return np.tile([0.0, 1.0], (len(lams), 1))
     if bc.kind == "neumann":
-        return np.array([1.0, 0.0])
+        return np.tile([1.0, 0.0], (len(lams), 1))
     # Bloch: eigenvector of the cell transfer matrix for multiplier e^{-i k p}
     period = geom.x_hi - geom.x_lo
-    M = transfer_trace(geom, eps, lam).astype(complex)
-    mu = np.exp(-1j * bc.k * period)
-    A = M - mu * np.eye(2)
-    # null vector of the (nearly singular) 2x2 matrix
-    if abs(A[0, 0]) + abs(A[0, 1]) > abs(A[1, 0]) + abs(A[1, 1]):
-        v = np.array([-A[0, 1], A[0, 0]])
-    else:
-        v = np.array([-A[1, 1], A[1, 0]])
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else np.array([1.0, 0.0])
+    M = transfer_trace(geom, eps, lams).astype(complex)
+    A = M - np.exp(-1j * bc.k * period) * np.eye(2)
+    # null vector of the (nearly singular) 2x2 matrix, from its larger row
+    first = (np.abs(A[:, 0, 0]) + np.abs(A[:, 0, 1])
+             > np.abs(A[:, 1, 0]) + np.abs(A[:, 1, 1]))[:, None]
+    v = np.where(first, np.stack([-A[:, 0, 1], A[:, 0, 0]], axis=1),
+                 np.stack([-A[:, 1, 1], A[:, 1, 0]], axis=1))
+    n = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.where(n > 0, v / np.where(n > 0, n, 1.0), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

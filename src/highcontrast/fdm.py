@@ -34,6 +34,7 @@ __all__ = [
     "shift_invert_eigenpairs",
     "smallest_eigenpairs",
     "eigenpairs_below",
+    "face_phase",
     "solve",
     "flux_on_interface",
 ]
@@ -157,7 +158,7 @@ def build_grid(medium: ContrastMedium, n: int = None) -> Grid:
         # odd slots between the sorted interface points lie inside an inclusion
         slot = np.searchsorted(np.asarray(geom.interfaces), centers)
         labels = np.where(slot % 2 == 1, (slot + 1) // 2, 0)
-        faces = _face_table(labels, (n,), medium.bc, (hi - lo,))
+        faces = _face_table(labels, (n,), medium.bc, _periods(geom))
         return Grid(1, h, labels, centers, faces, (n,))
 
     if isinstance(geom, Geometry2D):
@@ -167,10 +168,23 @@ def build_grid(medium: ContrastMedium, n: int = None) -> Grid:
         xs = (np.arange(nx) + 0.5) * h
         ys = (np.arange(ny) + 0.5) * h
         centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        faces = _face_table(labels, (nx, ny), medium.bc, (geom.Lx, geom.Ly))
+        faces = _face_table(labels, (nx, ny), medium.bc, _periods(geom))
         return Grid(2, h, labels, centers, faces, (nx, ny))
 
     raise GeometryError(f"assembly supports 1D and 2D geometries, not {type(geom)}")
+
+
+def _periods(geom) -> tuple[float, ...]:
+    """Cell lengths per axis, the periods of a Bloch closure."""
+    if isinstance(geom, Geometry1D):
+        return (geom.x_hi - geom.x_lo,)
+    return (geom.Lx, geom.Ly)
+
+
+def face_phase(medium: ContrastMedium, grid: Grid) -> np.ndarray:
+    """The ``phase`` column of ``grid``'s face table under the outer condition
+    of ``medium``: the one column that depends on the Bloch number."""
+    return _face_table(grid.labels, grid.shape, medium.bc, _periods(medium.geometry)).phase
 
 
 def cell_sigma(medium: ContrastMedium, grid: Grid) -> np.ndarray:

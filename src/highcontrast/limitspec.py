@@ -33,9 +33,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
-from .dtn import _unit_stiffness_blocks
-from .fdm import build_grid, eigenpairs_below, factor
-from .geometry import ContrastMedium, GeometryError
+from .dtn import _unit_conductance, _unit_stiffness_blocks
+from .fdm import build_grid, eigenpairs_below, face_phase, factor, shift_invert_eigenpairs
+from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
     "LimitEigenpair",
@@ -372,6 +372,66 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
 def limit_spectrum(medium: ContrastMedium, lam_max: float, n: int = None) -> LimitSpectrum:
     """Both limit families on (0, lam_max], sorted by eigenvalue."""
     return _pencil_spectrum(build_exterior(medium, n), lam_max)
+
+
+class _BlochPencil:
+    """Limit pencil of one Bloch cell at every Bloch number, from one exterior build.
+
+    Only the ``phase`` column of the face table depends on k.  A wrap face
+    joins two exterior cells (inclusions keep off the cell boundary) and
+    puts -g conj(p) and -g p on two off-diagonal pencil entries, g the unit
+    face conductance; :meth:`at` rewrites the entries of the faces whose
+    phase differs from the build's.
+    """
+
+    def __init__(self, medium: ContrastMedium, n: int = None):
+        self.ext = build_exterior(medium, n)
+        self.A, self.mass = self.ext.pencil()
+        self.g = _unit_conductance(self.ext.grid)
+
+    def at(self, k) -> sp.csc_matrix:
+        """The pencil matrix A at Bloch number k (the mass does not change)."""
+        ext, t = self.ext, self.ext.grid.faces
+        phase = face_phase(ContrastMedium(ext.medium.geometry, 0.0, BoundaryKind.bloch(k)),
+                           ext.grid)
+        f = np.nonzero(phase != t.phase)[0]
+        # exterior cell indices: idx_out is sorted
+        a, b = np.searchsorted(ext.idx_out, t.cin[f]), np.searchsorted(ext.idx_out, t.cout[f])
+        A = self.A.copy()
+        A[a, b] = -self.g * np.conj(phase[f])       # stored entries: written in place
+        A[b, a] = -self.g * phase[f]
+        return A
+
+
+def _lowest_positive(eigenvalues, count: int) -> np.ndarray:
+    """The ``count`` smallest values above ``LAM_FLOOR`` of ``eigenvalues(j)``,
+    the j smallest eigenvalues ascending; a zero mode (phase 1 on every wrap
+    face) is dropped and one more eigenvalue asked for in its place."""
+    j = count
+    while True:
+        w = eigenvalues(j)
+        w = w[w > LAM_FLOOR]
+        if w.size >= count:
+            return w[:count]
+        j += count - w.size
+
+
+def _lowest_eigenvalues(A: sp.spmatrix, mass: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` smallest limit eigenvalues above ``LAM_FLOOR``, ascending.
+
+    The count mode of the shift-invert solver, shifted just below the
+    spectrum of the semi-definite pencil.  The values are the Rayleigh
+    quotients of the mass-unit vectors, as in ``_pencil_spectrum``: the
+    Ritz values carry the backward error of the shifted factorization (up
+    to 6e-12 on the 1D cell at n = 1000).
+    """
+    sigma = -1e-8 * abs(A).sum() / mass.sum()
+
+    def rayleigh(j):
+        X = shift_invert_eigenpairs(A, mass, j, sigma)[1]
+        return np.sort(np.real(np.einsum("ij,ij->j", X.conj(), A @ X)))
+
+    return _lowest_positive(rayleigh, count)
 
 
 def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):

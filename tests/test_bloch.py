@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from highcontrast import bloch
+from highcontrast import bloch, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
-                                   GeometryError)
+                                   Geometry2D, GeometryError, rectangles_to_mask)
 
 CELL = Geometry1D(-1.0, 1.0, ((-0.5, 0.5),))
 FREE = Geometry1D(-1.0, 1.0, ())
+ASYM = Geometry1D(-1.0, 1.0, ((-0.6, 0.2),))
+SQUARE = Geometry2D(1.0, 1.0, 1 / 32,
+                    rectangles_to_mask(1.0, 1.0, 1 / 32, [(0.25, 0.75, 0.25, 0.75)]))
 
 
 def cell_medium(eps=0.0):
@@ -77,3 +80,59 @@ def test_crossing_flag():
                                 crossings=((0.1, 0.3, 1),))
     assert bands.crossings[0][2] == 1
 
+
+
+def at_k(geom, k, eps=0.0):
+    return ContrastMedium(geom, eps, BoundaryKind.bloch(k))
+
+
+def window_row(geom, k, count, n=None):
+    """The first ``count`` positive eigenvalues of a fresh limit spectrum at k
+    on the window 16 (count + 1)^2."""
+    w = limitspec.limit_spectrum(at_k(geom, k), 16.0 * (count + 1) ** 2, n).eigenvalues
+    return np.sort(w[w > limitspec.LAM_FLOOR])[:count]
+
+
+@pytest.mark.parametrize("geom, n, k", [
+    (ASYM, 1000, -1.3), (ASYM, 1000, 0.4), (ASYM, 1000, 2.6),
+    (SQUARE, None, -1.3), (SQUARE, None, 2.6), (SQUARE, None, (0.9, -2.1)),
+])
+def test_rephased_pencil_equals_fresh_build(geom, n, k):
+    pencil = limitspec._BlochPencil(at_k(geom, 0.7), n)
+    A, mass = limitspec.build_exterior(at_k(geom, k), n).pencil()
+    assert abs(pencil.at(k) - A).max() <= 1e-14 * abs(A).max()
+    assert np.array_equal(pencil.mass, mass)
+
+
+@pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
+def test_limit_rows_match_window_rows(geom, n):
+    # k = pi on the square has full square symmetry: a double at 46.739
+    ks = [-np.pi / 2 - 0.2, 0.4, 2.2, np.pi]
+    arr = bloch.dispersion_sweep(at_k(geom, 0.5), ks, 4, [0.0], n).branches[0.0]
+    expect = np.array([window_row(geom, k, 4, n) for k in ks])
+    assert np.allclose(arr, expect, rtol=1e-10, atol=0)
+    if geom is SQUARE:
+        assert arr[3, 3] - arr[3, 2] < 1e-8 * arr[3, 2]
+
+
+@pytest.mark.parametrize("geom, n", [(ASYM, 200), (SQUARE, None)])
+def test_one_exterior_per_sweep(geom, n, monkeypatch):
+    calls = []
+    build = limitspec.build_exterior
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(limitspec, "build_exterior", counted)
+    bloch.dispersion_sweep(at_k(geom, 0.5), [-1.1, -0.3, 0.3, 1.1], 3, [0.0], n)
+    assert len(calls) == 1
+
+
+def test_grid_rows_ask_for_the_branches_kept():
+    # k = 2 pi puts phase 1 on every wrap face: the row drops the zero mode
+    ks = [-2.5, 0.7, 2 * np.pi]
+    arr = bloch.dispersion_sweep(at_k(SQUARE, 0.5, 0.1), ks, 3, [0.1]).branches[0.1]
+    for row, k in zip(arr, ks):
+        w = fdm.smallest_eigenpairs(fdm.assemble(at_k(SQUARE, k, 0.1)), 5).eigenvalues
+        assert np.allclose(row, w[w > limitspec.LAM_FLOOR][:3], rtol=1e-10, atol=0)

@@ -202,3 +202,15 @@ def test_interface_dofs_grouped_by_inclusion():
     assert np.all(np.diff(incl) >= 0)
     assert np.bincount(incl).tolist() == [0, 32, 32, 32, 32]
     assert np.array_equal(grid.faces.inclusion[gamma], incl)
+
+
+def test_blocks_computed_once():
+    sysd = dtn.build_dtn(ContrastMedium(ASYM, 1e-2, BoundaryKind.bloch(0.7)), 200)
+    C, Z = sysd.C, sysd.Z
+    products = {"Np11": C.T @ sysd.Np @ C, "Np12": C.T @ sysd.Np @ Z,
+                "Np21": Z.conj().T @ sysd.Np @ C, "Np22": Z.conj().T @ sysd.Np @ Z,
+                "Nm22": Z.conj().T @ sysd.Nm @ Z}
+    for name, expect in products.items():
+        block = getattr(sysd, name)
+        assert getattr(sysd, name) is block
+        assert np.array_equal(block, expect)

@@ -176,3 +176,46 @@ def test_bloch_spectrum_hermitian_transfer():
     s = exact1d.transfer_spectrum_1d(SYM, 1e-2, bc, 30.0)
     assert np.all(np.isreal(s.eigenvalues))
     assert np.all(s.eigenvalues > 0)
+
+
+def _one_eigenfunction(geom, eps, bc, lam):
+    """Segment coefficients (u0, du0) of one eigenfunction, one lambda at a
+    time: start state, propagation, 2001 samples, division by the sample of
+    largest modulus."""
+    if bc.kind == "dirichlet":
+        state = np.array([0.0, 1.0], dtype=complex)
+    elif bc.kind == "neumann":
+        state = np.array([1.0, 0.0], dtype=complex)
+    else:
+        A = exact1d.transfer_trace(geom, eps, lam) - np.exp(-2j * bc.k) * np.eye(2)
+        if abs(A[0, 0]) + abs(A[0, 1]) > abs(A[1, 0]) + abs(A[1, 1]):
+            state = np.array([-A[0, 1], A[0, 0]])
+        else:
+            state = np.array([-A[1, 1], A[1, 0]])
+        state = state / np.linalg.norm(state)
+    coef = []
+    xs = np.linspace(geom.x_lo, geom.x_hi, 2001)
+    vals = np.zeros(xs.size, dtype=complex)
+    filled = np.zeros(xs.size, dtype=bool)
+    for x0, x1, sigma in exact1d._segments(geom, eps):
+        u0, du0 = state[0], state[1] / sigma
+        coef.append((u0, du0))
+        kappa = np.sqrt(lam / sigma)
+        sel = ~filled & (xs >= x0 - 1e-14) & (xs <= x1 + 1e-14)
+        t = xs[sel] - x0
+        vals[sel] = u0 * np.cos(kappa * t) + du0 / kappa * np.sin(kappa * t)
+        filled |= sel
+        state = exact1d._propagate(lam, x1 - x0, sigma) @ state
+    return np.array(coef) / vals[np.argmax(np.abs(vals))]
+
+
+@pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann(),
+                                BoundaryKind.bloch(0.9), BoundaryKind.bloch(-1.2)])
+@pytest.mark.parametrize("geom", [SYM, Geometry1D(-1.0, 1.0, ((-0.7, -0.2), (0.1, 0.5)))])
+def test_batched_eigenfunctions_match_one_at_a_time(geom, bc):
+    s = exact1d.transfer_spectrum_1d(geom, 1e-2, bc, 300.0)
+    assert len(s.eigenfunctions) >= 4
+    for lam, fn in zip(s.eigenvalues, s.eigenfunctions):
+        got = np.array([seg[3:] for seg in fn.segments])
+        expect = _one_eigenfunction(geom, 1e-2, bc, lam)
+        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
