@@ -106,6 +106,9 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
     form at eps = 0 on a symmetric cell; 2D cells use the grid assembly
     (``n`` forwarded where a grid is needed).  The other eps = 0 rows share
     one limit pencil, built once per sweep and re-phased per Bloch number.
+    Each ±k pair is solved once per contrast: the coefficients are real, so
+    the operator at -k is the complex conjugate of the one at k and has the
+    same spectrum; a k whose exact negation came earlier copies that row.
     Bloch numbers within DELTA_K of an integer are rejected.
     """
     if branch_count < 1:
@@ -121,9 +124,11 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
     for eps in eps_list:
         if eps < 0:
             raise ValueError("contrast values must be >= 0")
-        rows = []
+        rows, solved = [], {}
         for k in ks:
-            if eps == 0 and on_pencil:
+            if -k in solved:
+                row = solved[-k]
+            elif eps == 0 and on_pencil:
                 if pencil is None:
                     pencil = limitspec._BlochPencil(
                         ContrastMedium(geom, 0.0, BoundaryKind.bloch(float(ks[0]))), n)
@@ -133,6 +138,7 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
                 row = _spectrum_1d(geom, float(eps), float(k), branch_count)
             else:
                 row = _spectrum_2d(medium, float(eps), float(k), branch_count, n)
+            solved[k] = row
             rows.append(row)
         arr = np.vstack(rows)
         for i, k in enumerate(ks):

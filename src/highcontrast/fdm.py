@@ -369,14 +369,24 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: flo
 
 
 def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
-    """The ``count`` smallest eigenpairs (smallest positive under Neumann)."""
+    """The ``count`` smallest eigenpairs (smallest positive under Neumann).
+
+    The eigenvalues are the Rayleigh quotients of the mass-unit vectors,
+    sorted: the Ritz values carry the backward error of the shifted
+    factorization (1e-5 relative on the 1D cell at n = 4000, epsilon = 1e-5,
+    against 1e-9 for the quotients).  The residuals are those of the Ritz
+    values.
+    """
     if not 1 <= count < opr.dimension - 1:
         raise ValueError("count must be >= 1 and small relative to the dimension")
     n, vol = opr.dimension, opr.grid.cell_volume
     neumann = opr.bc.kind == "neumann"
     k_ask = count + 1 if neumann else count
     sigma = -1e-8 * abs(opr.K).sum() / (n * vol) if neumann else 0.0
-    w, v, res = shift_invert_eigenpairs(opr.K, np.full(n, vol), k_ask, sigma)
+    _, v, res = shift_invert_eigenpairs(opr.K, np.full(n, vol), k_ask, sigma)
+    w = np.real(np.einsum("ij,ij->j", v.conj(), opr.K @ v))
+    order = np.argsort(w)
+    w, v, res = w[order], v[:, order], res[order]
     meta = {"constant_mode_lambda": float(w[0])} if neumann else {}
     if neumann:
         w, v, res = w[1:], v[:, 1:], res[1:]

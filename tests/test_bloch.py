@@ -1,9 +1,11 @@
 """Dispersion sweeps, symmetry of the band functions, gap extraction."""
 
+import collections
+
 import numpy as np
 import pytest
 
-from highcontrast import bloch, fdm, limitspec
+from highcontrast import bloch, exact1d, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
                                    Geometry2D, GeometryError, rectangles_to_mask)
 
@@ -136,3 +138,41 @@ def test_grid_rows_ask_for_the_branches_kept():
     for row, k in zip(arr, ks):
         w = fdm.smallest_eigenpairs(fdm.assemble(at_k(SQUARE, k, 0.1)), 5).eigenvalues
         assert np.allclose(row, w[w > limitspec.LAM_FLOOR][:3], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
+def test_operator_at_minus_k_is_the_conjugate(geom, n):
+    A = fdm.assemble(at_k(geom, 0.7, 0.1), n).K
+    assert abs(fdm.assemble(at_k(geom, -0.7, 0.1), n).K - A.conj()).max() == 0
+    pencil = limitspec._BlochPencil(at_k(geom, 0.4), n)
+    assert abs(pencil.at(-0.7) - pencil.at(0.7).conj()).max() == 0
+
+
+SYMMETRIC_KS = [0.4, -1.3, -0.4, 1.3]
+
+
+@pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
+@pytest.mark.parametrize("eps", [1e-1, 0.0])
+def test_reused_rows_equal_fresh_solves(geom, n, eps):
+    arr = bloch.dispersion_sweep(at_k(geom, 0.5), SYMMETRIC_KS, 3, [eps], n).branches[eps]
+    # rows 2 and 3 are copies of rows 0 and 1
+    assert np.array_equal(arr[2:], arr[:2])
+    for k, row in zip(SYMMETRIC_KS[2:], arr[2:]):
+        fresh = bloch.dispersion_sweep(at_k(geom, k), [k], 3, [eps], n).branches[eps][0]
+        assert np.allclose(row, fresh, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("geom, n, grid_solve", [
+    (ASYM, 200, "transfer_spectrum_1d"), (SQUARE, None, "smallest_eigenpairs")])
+@pytest.mark.parametrize("ks, solves", [(SYMMETRIC_KS, 2), ([0.4, 1.3, 0.7, 2.2], 4)])
+def test_one_solve_per_plus_minus_k_pair(geom, n, grid_solve, ks, solves, monkeypatch):
+    calls = collections.Counter()
+    for module, name in [(exact1d, "transfer_spectrum_1d"), (fdm, "smallest_eigenpairs"),
+                         (limitspec, "_lowest_eigenvalues")]:
+        def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    bloch.dispersion_sweep(at_k(geom, 0.5), ks, 3, [1e-1, 0.0], n)
+    assert calls == {grid_solve: solves, "_lowest_eigenvalues": solves}

@@ -135,6 +135,17 @@ class TestEigen:
         G = res.eigenvectors.T @ res.eigenvectors * opr.grid.cell_volume
         assert np.allclose(G, np.eye(3), atol=1e-8)
 
+    def test_eigenvalues_are_rayleigh_quotients(self):
+        # at eps = 1e-5 the Ritz value of the first pair is 1e-5 relative off
+        opr = fdm.assemble(med1d(1e-5), 4000)
+        res = fdm.smallest_eigenpairs(opr, 4)
+        c = opr.K.tocoo()
+        V = res.eigenvectors.astype(np.longdouble)
+        KV = np.zeros_like(V)
+        np.add.at(KV, c.row, c.data.astype(np.longdouble)[:, None] * V[c.col])
+        q = np.sum(V * KV, axis=0) / (opr.grid.cell_volume * np.sum(V * V, axis=0))
+        assert np.all(np.abs(res.eigenvalues - q) <= 1e-8 * q)
+
 
 class TestShiftInvert:
     """Every path of the one shift-invert eigensolver against dense eigh."""
