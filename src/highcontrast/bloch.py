@@ -24,7 +24,6 @@ __all__ = [
     "gap_report",
 ]
 
-DELTA_K = limitspec.DELTA_K
 CROSSING_TOL = 1e-4
 
 
@@ -53,15 +52,6 @@ class BandStructure:
             for i, k in enumerate(self.k_grid):
                 for n in range(arr.shape[1]):
                     yield DispersionPoint(float(k), n + 1, float(arr[i, n]), float(eps))
-
-
-def _validate_k_grid(k_grid) -> np.ndarray:
-    ks = np.asarray(k_grid, dtype=float)
-    bad = [float(k) for k in ks if abs(k - round(k)) < DELTA_K]
-    if bad:
-        raise GeometryError(f"Bloch numbers {bad} within {DELTA_K} of an integer; "
-                            "the sweep requires non-integer k")
-    return ks
 
 
 def _spectrum_1d(geom: Geometry1D, eps: float, k: float, count: int) -> np.ndarray:
@@ -109,11 +99,10 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
     Each ±k pair is solved once per contrast: the coefficients are real, so
     the operator at -k is the complex conjugate of the one at k and has the
     same spectrum; a k whose exact negation came earlier copies that row.
-    Bloch numbers within DELTA_K of an integer are rejected.
     """
     if branch_count < 1:
         raise ValueError("branch_count must be >= 1")
-    ks = _validate_k_grid(k_grid)
+    ks = np.asarray(k_grid, dtype=float)
     geom = medium.geometry
     if not isinstance(geom, (Geometry1D, Geometry2D)):
         raise GeometryError("dispersion sweeps support 1D and 2D cells")

@@ -53,6 +53,7 @@ CLUSTER_TOL = 1e-6
 RATIONAL_MAX_DEN = 10**6
 RATIONAL_TOL = 1e-12
 SCAN_OVERSAMPLE = 24     # scan points per expected eigenvalue spacing
+REAL_MULTIPLIER_TOL = 1e-3   # |sin kL| below which the Bloch multiplier counts as +-1
 
 
 class PoleProximityError(ValueError):
@@ -165,6 +166,18 @@ def transfer_trace(geom: Geometry1D, eps: float, lam) -> np.ndarray:
     return M
 
 
+def _check_multiplier(k: float, period: float) -> None:
+    """Reject a real Bloch multiplier exp(-i k L) = +-1.  There the band-edge
+    eigenvalues can be double (on a cell without inclusions all of them
+    are), and a double one is a zero of the transfer determinant
+    tr M - 2 cos kL (or of the free-cell limit curve) without a sign change,
+    which the root scan cannot see."""
+    if abs(np.sin(k * period)) < REAL_MULTIPLIER_TOL:
+        raise GeometryError(
+            f"Bloch number {k}: the multiplier exp(-ikL) is within {REAL_MULTIPLIER_TOL} "
+            f"of +-1 (L = {period}), where the closed form can miss double eigenvalues")
+
+
 def _char_transfer(geom: Geometry1D, eps: float, bc: BoundaryKind):
     """Entire determinant function whose zeros are the eps > 0 eigenvalues."""
     if bc.kind == "dirichlet":           # u(end) of the start state (0, 1)
@@ -175,6 +188,7 @@ def _char_transfer(geom: Geometry1D, eps: float, bc: BoundaryKind):
             return transfer_trace(geom, eps, lam)[..., 1, 0]
     elif bc.kind == "bloch":
         period = geom.x_hi - geom.x_lo
+        _check_multiplier(bc.k, period)
         rhs = 2 * np.cos(bc.k * period)
 
         def f(lam):
@@ -512,10 +526,14 @@ def bloch_limit_curve(a: float, k_grid: Sequence[float], lam_max: float) -> list
 
     For each wave number in (-pi/2, pi/2] all roots of the Bloch
     characteristic equation up to ``lam_max`` are returned, branch-indexed
-    ascending.
+    ascending.  Without an inclusion (a = 0) the curve is cos 2s = cos 2k,
+    whose roots are all double at a real multiplier; see ``_check_multiplier``.
     """
     if not 0 <= a < 1:
         raise ValueError("inclusion half-width must lie in [0, 1)")
+    if a == 0:
+        for k in k_grid:
+            _check_multiplier(k, 2.0)
     points = []
     spacing = np.pi / (2 * (1 - a) + 2 * a)  # conservative trig scale
     for k in k_grid:

@@ -56,7 +56,6 @@ __all__ = [
 TOL_FLUX = 1e-6         # base zero-flux filter tolerance (scaled)
 TOL_TRACE = 1e-6        # mass share on the inclusions below which c = 0
 CLUSTER_TOL = 1e-6      # eigenvalue cluster / collision reporting width
-DELTA_K = 1e-3          # exclusion margin around integer Bloch numbers
 LAM_FLOOR = 1e-8        # strictly positive spectrum only
 
 
@@ -161,23 +160,8 @@ class ExteriorSystem:
         return factor(self.K_EE - lam * self.vol * sp.identity(self.K_EE.shape[0]))
 
 
-def _validate_bloch_k(medium: ContrastMedium) -> None:
-    if medium.bc.kind != "bloch":
-        return
-    ks = medium.bc.k if isinstance(medium.bc.k, tuple) else (medium.bc.k,)
-    for k in ks:
-        if abs(k - round(k)) < DELTA_K:
-            raise GeometryError(
-                f"Bloch number {k} is within {DELTA_K} of an integer; the "
-                "constant-trace closure degenerates there (integer case is "
-                "Neumann-like and out of scope)")
-
-
-def build_exterior(medium: ContrastMedium, n: int = None,
-                   allow_integer_k: bool = False) -> ExteriorSystem:
+def build_exterior(medium: ContrastMedium, n: int = None) -> ExteriorSystem:
     """Exterior system of a medium; the contrast value is irrelevant here."""
-    if not allow_integer_k:
-        _validate_bloch_k(medium)
     grid = build_grid(medium, n)
     (gamma, incl_of, idx_in, idx_out,
      _K_II, _K_IG, _K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(grid)

@@ -20,10 +20,27 @@ def cell_medium(eps=0.0):
     return ContrastMedium(CELL, eps, BoundaryKind.bloch(0.5))
 
 
-def test_integer_k_rejected():
-    for bad in (0.0, 1.0, 2.0, 1.0005):
+def test_real_multiplier_rejected_by_the_transfer_scan():
+    # the phase exp(-2ik) is +-1 at k = 0, pi/2, pi, not at integer k
+    for bad in (0.0, np.pi / 2, np.pi):
         with pytest.raises(GeometryError):
             bloch.dispersion_sweep(cell_medium(), [0.3, bad], 2, [1e-2])
+    bands = bloch.dispersion_sweep(cell_medium(), [1.0, 2.0, 1.0005], 2, [1e-2])
+    assert np.all(bands.branches[1e-2] > 0)
+    with pytest.raises(GeometryError):
+        exact1d.bloch_limit_curve(0.0, [np.pi / 2], 40.0)
+
+
+@pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
+def test_limit_rows_near_integer_k_and_at_phase_one(geom, n):
+    # k = pi is phase 1 at L = 2: the zero mode is dropped as under Neumann
+    ks = [1.0005, np.pi]
+    bands = bloch.dispersion_sweep(ContrastMedium(geom, 0.0, BoundaryKind.bloch(0.3)),
+                                   ks, 2, [0.0], n)
+    for i, k in enumerate(ks):
+        opr = fdm.assemble(at_k(geom, k, 1e-7), n)
+        w = fdm.smallest_eigenpairs(opr, 3).eigenvalues
+        assert np.allclose(bands.branches[0.0][i], w[w > 1e-6][:2], rtol=1e-5, atol=0)
 
 
 def test_free_cell_bands_are_folded_parabolas():

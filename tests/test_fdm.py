@@ -201,6 +201,86 @@ class TestShiftInvert:
             fdm.factor(sp.csc_matrix((3, 3)))
 
 
+def split_cases():
+    odd = np.zeros((33, 33), dtype=int)
+    odd[11:22, 11:22] = 1
+    wide = Geometry2D(2.0, 1.0, 1 / 32,
+                      rectangles_to_mask(2.0, 1.0, 1 / 32, [(0.75, 1.25, 0.25, 0.75)]))
+    return {
+        "dirichlet": med2d(1e-2, h=1 / 64),
+        "neumann": med2d(1e-2, h=1 / 48, bc=BoundaryKind.neumann()),
+        "odd": ContrastMedium(Geometry2D(1.0, 1.0, 1 / 33, odd), 1e-2, BoundaryKind.dirichlet()),
+        "wide": ContrastMedium(wide, 1e-2, BoundaryKind.dirichlet()),
+        "corners": med2d(1e-2, h=1 / 64, rects=CORNERS),
+    }
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the shift-invert solves a call makes."""
+    calls = []
+    inner = fdm.shift_invert_eigenpairs
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fdm, "shift_invert_eigenpairs", counted)
+    return calls
+
+
+class TestReflectionSectors:
+    """Mirror-symmetric 2D grids are solved one reflection sector at a time."""
+
+    @pytest.mark.parametrize("case", ["dirichlet", "neumann", "odd", "wide", "corners"])
+    def test_sectors_match_the_unsplit_solve(self, case, solves):
+        opr = fdm.assemble(split_cases()[case])
+        neumann = opr.bc.kind == "neumann"
+        res = fdm.smallest_eigenpairs(opr, 6)
+        assert len(solves) == 4 and max(solves) <= opr.dimension // 2
+        vol = opr.grid.cell_volume
+        ref = fdm.shift_invert_eigenpairs(opr.K, np.full(opr.dimension, vol), 7 if neumann else 6,
+                                          -1.0 if neumann else 0.0)[0]
+        if neumann:
+            assert abs(ref[0]) < 1e-8 and abs(res.metadata["constant_mode_lambda"]) < 1e-8
+            ref = ref[1:]
+        assert np.allclose(res.eigenvalues, ref, rtol=1e-10, atol=0)
+        V = res.eigenvectors
+        assert np.allclose(V.T @ V * vol, np.eye(6), atol=1e-10)
+        assert res.residuals.max() < fdm.TOL_EIG
+
+    @pytest.mark.parametrize("med", [
+        med2d(1e-2, h=1 / 32, rects=((0.25, 0.5, 0.25, 0.625),)),
+        med2d(1e-2, h=1 / 32, bc=BoundaryKind.bloch(0.4))])
+    def test_asymmetric_mask_and_bloch_closure_run_one_sector(self, med, solves):
+        opr = fdm.assemble(med)
+        fdm.smallest_eigenpairs(opr, 4)
+        assert solves == [opr.dimension]
+
+    def test_each_copy_of_a_double_comes_from_its_own_sector(self):
+        opr = fdm.assemble(med2d(1e-3, h=1 / 64))
+        res = fdm.smallest_eigenpairs(opr, 3)
+        w = res.eigenvalues
+        assert w[2] - w[1] < 1e-10 * w[1]
+        parities = []
+        for j in (1, 2):
+            v = res.eigenvectors[:, j].reshape(opr.grid.shape)
+            parity = tuple(np.sign(np.sum(v * np.flip(v, ax))) for ax in (0, 1))
+            for ax, s in enumerate(parity):
+                assert np.allclose(np.flip(v, ax), s * v, atol=1e-12)
+            parities.append(parity)
+        assert parities[0] != parities[1]
+
+    @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
+    @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
+    def test_operator_commutes_with_the_reflections(self, rects, bc):
+        K = fdm.assemble(med2d(1e-3, h=1 / 32, bc=bc, rects=rects)).K
+        idx = np.arange(K.shape[0]).reshape(32, 32)
+        for ax in (0, 1):
+            P = np.flip(idx, ax).ravel()
+            assert abs(K[P][:, P] - K).max() == 0
+
+
 class TestSolve:
     def test_manufactured_uniform_solution(self):
         # -u'' = pi^2/4 sin(pi(x+1)/2) has solution sin(pi(x+1)/2) on (-1,1)

@@ -115,6 +115,32 @@ def test_det_scan_matches_dense_flux_equation():
         assert r == pytest.approx(ref, rel=1e-11)
 
 
+def test_det_scan_matches_a_40_digit_solve():
+    """The roots at a = 1/2, n = 2000 against a 40-digit solve of the same
+    finite-volume flux equation, built from the face radii: the
+    conductances r^2 / h (2 r^2 / h at the closures) and the cell masses."""
+    mp = pytest.importorskip("mpmath")
+    n = 2000
+    roots = radial3d.sphere_det_scan(A, 80.0, n)
+    with mp.workdps(40):
+        h = mp.mpf(1) / n
+        r = [j * h for j in range(n // 2, n + 1)]
+        g = [2 * r[0] ** 2 / h] + [x ** 2 / h for x in r[1:-1]] + [2 * r[-1] ** 2 / h]
+        mass = [(r[j + 1] ** 3 - r[j] ** 3) / 3 for j in range(len(r) - 1)]
+        ball = 4 * mp.pi * mp.mpf(A) ** 3 / 3
+
+        def T(lam):
+            # eliminate (K - lam M) u = g_if e_0 from the r = 1 end: u_0 = g_if / pivot_0
+            piv = g[-2] + g[-1] - lam * mass[-1]
+            for j in range(len(mass) - 2, -1, -1):
+                piv = g[j] + g[j + 1] - lam * mass[j] - g[j + 1] ** 2 / piv
+            return 4 * mp.pi * g[0] * (g[0] / piv - 1) + lam * ball
+
+        ref = [float(mp.findroot(T, mp.mpf(x), solver="secant")) for x in roots]
+    assert len(roots) == 2
+    assert np.allclose(roots, ref, rtol=1e-13, atol=0)
+
+
 def test_det_scan_interlaces_poles_beyond_forty():
     """Past the 40th exterior eigenvalue every root still sits between poles."""
     lam_max = 8e4
