@@ -5,6 +5,12 @@ at eps > 0 from the quasi-periodic spectrum of the cell problem (exact
 transfer matrices in 1D, phase-twisted finite volumes in 2D), and at
 eps = 0 from the limit spectrum with the Bloch closure.  Also extracts
 spectral gaps between consecutive branches.
+
+Every grid and pencil row is one count-mode call of
+``fdm.shift_invert_eigenpairs`` for exactly the branches kept; nothing is
+filtered by value.  Where every wrap face has phase 1 (Gamma), the
+constant is a Bloch mode, so band 1 is lambda = 0 there.  The exact 1D
+rows reject a real multiplier instead.
 """
 
 from __future__ import annotations
@@ -66,9 +72,8 @@ def _spectrum_1d(geom: Geometry1D, eps: float, k: float, count: int) -> np.ndarr
             a = geom.inclusions[0][1]
             pts = exact1d.bloch_limit_curve(a, [k], lam_max)
             eigs = np.array([p.lam for p in pts])
-        eigs = np.sort(eigs[eigs > limitspec.LAM_FLOOR])
         if eigs.size >= count:
-            return eigs[:count]
+            return np.sort(eigs)[:count]
         lam_max *= 2.0
     raise RuntimeError(f"could not collect {count} branches at k={k}, eps={eps}")
 
@@ -84,8 +89,7 @@ def _spectrum_2d(medium: ContrastMedium, eps: float, k: float, count: int,
                  n: int = None) -> np.ndarray:
     """First ``count`` eigenvalues of the phase-twisted grid operator, eps > 0."""
     opr = fdm.assemble(ContrastMedium(medium.geometry, eps, BoundaryKind.bloch(k)), n)
-    return limitspec._lowest_positive(lambda j: fdm.smallest_eigenpairs(opr, j).eigenvalues,
-                                      count)
+    return fdm.smallest_eigenpairs(opr, count).eigenvalues
 
 
 def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
@@ -121,8 +125,8 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
                 if pencil is None:
                     pencil = limitspec._BlochPencil(
                         ContrastMedium(geom, 0.0, BoundaryKind.bloch(float(ks[0]))), n)
-                row = limitspec._lowest_eigenvalues(pencil.at(float(k)), pencil.mass,
-                                                    branch_count)
+                row = fdm.shift_invert_eigenpairs(pencil.at(float(k)), pencil.mass,
+                                                  branch_count)[0]
             elif isinstance(geom, Geometry1D):
                 row = _spectrum_1d(geom, float(eps), float(k), branch_count)
             else:

@@ -69,7 +69,7 @@ class CharacteristicFunction:
     """Closed-form characteristic equation F(lambda) = 0.
 
     kinds: ``dirichlet_S2``, ``neumann_S2``, ``bloch`` (needs ``k``),
-    ``sphere`` (needs ``a``), all for a single-inclusion configuration:
+    all for a single-inclusion configuration:
     interval (-1, 1) with inclusion (a, b), or the Bloch cell (-1, 1)
     with inclusion |x| < a.
     """
@@ -107,8 +107,6 @@ def eval_char(cf: CharacteristicFunction, lam):
     if cf.kind == "bloch":
         w = 2 * s * (1 - cf.a)
         return np.cos(w) - s * cf.a * np.sin(w) - np.cos(2 * cf.k)
-    if cf.kind == "sphere":
-        return cf.a * s / np.tan(s * (1 - cf.a)) - (lam * cf.a**2 / 3 - 1)
     raise ValueError(f"unknown characteristic kind {cf.kind!r}")
 
 
@@ -122,9 +120,6 @@ def char_poles(cf: CharacteristicFunction, lam_max: float) -> list[float]:
     elif cf.kind == "neumann_S2":
         for length in (1 + cf.a, 1 - cf.b):
             poles_s.extend((np.arange(0, s_max * length / np.pi + 1) + 0.5) * np.pi / length)
-    elif cf.kind == "sphere":
-        length = 1 - cf.a
-        poles_s.extend(np.arange(1, s_max * length / np.pi + 1) * np.pi / length)
     elif cf.kind == "bloch":
         pass  # entire function
     else:
@@ -528,12 +523,13 @@ def bloch_limit_curve(a: float, k_grid: Sequence[float], lam_max: float) -> list
     characteristic equation up to ``lam_max`` are returned, branch-indexed
     ascending.  Without an inclusion (a = 0) the curve is cos 2s = cos 2k,
     whose roots are all double at a real multiplier; see ``_check_multiplier``.
+    Every cell rejects a real multiplier: at phase 1 the root lambda = 0 of
+    the curve is double, and the scan would drop it.
     """
     if not 0 <= a < 1:
         raise ValueError("inclusion half-width must lie in [0, 1)")
-    if a == 0:
-        for k in k_grid:
-            _check_multiplier(k, 2.0)
+    for k in k_grid:
+        _check_multiplier(k, 2.0)
     points = []
     spacing = np.pi / (2 * (1 - a) + 2 * a)  # conservative trig scale
     for k in k_grid:

@@ -11,11 +11,15 @@ Grids must align inclusion interfaces with cell faces; this is what makes
 the discrete interface set unambiguous and lets the Dirichlet-to-Neumann
 reduction split the matrix exactly.
 
-Eigenpairs come from one factor-once shift-invert solver.  The operator of
-a 2D grid whose inclusion mask is mirror-symmetric, under a Dirichlet or
-Neumann closure, commutes with the grid reflections, so
-``smallest_eigenpairs`` solves it one reflection sector at a time (even or
-odd in x, times even or odd in y) and merges the unfolded vectors.
+Eigenpairs come from one factor-once shift-invert solver.  It picks its
+own shift just below the semi-definite spectrum and returns Rayleigh
+quotients, so a zero eigenvalue is returned like any other and the closure
+decides it: Neumann drops its constant mode, a Bloch grid at phase 1 keeps
+it as the first eigenvalue.  The operator of a 2D grid whose inclusion
+mask is mirror-symmetric, under a Dirichlet or Neumann closure, commutes
+with the grid reflections, so ``smallest_eigenpairs`` solves it one
+reflection sector at a time (even or odd in x, times even or odd in y)
+and merges the unfolded vectors.
 """
 
 from __future__ import annotations
@@ -318,31 +322,46 @@ def factor(A: sp.spmatrix):
         raise EigensolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: float,
-                            lam_max: float = None):
-    """Eigenpairs (lam, X, residuals), ascending, of A x = lam diag(mass) x
-    nearest above sigma: k pairs, or with ``lam_max`` all pairs <= lam_max
-    (k doubles until the largest passes it).  X is mass-orthonormal.
+def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, lam_max: float = None):
+    """Eigenpairs (lam, X, residuals), ascending, of the semi-definite A x =
+    lam diag(mass) x from the bottom of the spectrum: k pairs, or with
+    ``lam_max`` all pairs <= lam_max (k doubles until the largest passes
+    it).  X is mass-orthonormal and lam are its Rayleigh quotients.
+
+    The shift is -1e-8 min_i A_ii / mass_i.  That ratio is the Rayleigh
+    quotient of a unit vector, so it bounds the lowest eigenvalue from above
+    and is set by the soft cells, not by the 1/epsilon ones: the shift lies
+    just below the spectrum at every contrast.  A zero eigenvalue (Neumann
+    closure, phase 1 on every Bloch wrap face) is returned like any other
+    and A - shift D is never singular; the caller's closure decides whether
+    to keep it.
 
     ARPACK sees B y = lam y, B = D^-1/2 A D^-1/2, D = diag(mass), x = D^-1/2 y
     (a mass matrix would leave a reference cycle in its complex mode).  B is
     never formed (rounding it put radial eigenvalues at epsilon = 1e-4 off by
-    2e-7, against 1e-9 here): A - sigma D is factored once and
-    D^1/2 (A - sigma D)^-1 D^1/2 is the OPinv of ``eigsh``.  The residuals
-    must stay below ``TOL_EIG`` (see ``_residuals``).
+    2e-7, against 1e-9 here): A - shift D is factored once and
+    D^1/2 (A - shift D)^-1 D^1/2 is the OPinv of ``eigsh``, started from a
+    fixed-seed vector so that a run repeats exactly.  The Ritz values carry
+    the backward error of the shifted factorization (1e-5 relative on the 1D
+    cell at n = 4000, epsilon = 1e-5), hence the quotients.  The residuals
+    of the quotient pairs must stay below ``TOL_EIG`` (see ``_residuals``).
     """
     n = A.shape[0]
     root = np.sqrt(mass)
-    # the dtype comes from A and sigma, not from lu.U: reading lu.U copies the factor
-    dtype = np.result_type(A.dtype, sigma)
+    sigma = -1e-8 * np.min(A.diagonal().real / mass)
     lu = factor(A - sigma * sp.diags(mass))
+    # the dtype comes from A, not from lu.U: reading lu.U copies the factor
     OPinv = spla.LinearOperator((n, n), matvec=lambda y: root * lu.solve(root * y),
-                                dtype=dtype)
-    B = spla.LinearOperator((n, n), matvec=lambda y: (A @ (y / root)) / root, dtype=dtype)
+                                dtype=A.dtype)
+    B = spla.LinearOperator((n, n), matvec=lambda y: (A @ (y / root)) / root, dtype=A.dtype)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    if np.iscomplexobj(A):
+        v0 = v0 + 1j * rng.standard_normal(n)
     while True:
         try:
             w, y = spla.eigsh(B, k=k, sigma=sigma, OPinv=OPinv, which="LM",
-                              maxiter=MAX_EIG_ITER)
+                              maxiter=MAX_EIG_ITER, v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
         if lam_max is None or w.max() > lam_max:
@@ -351,10 +370,6 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: flo
             raise EigensolverError(f"more than {k} eigenvalues below {lam_max}: "
                                    "the window holds nearly the whole grid")
         k = min(2 * k, n - 2)
-    order = np.argsort(w)
-    if lam_max is not None:
-        order = order[w[order] <= lam_max]
-    w, y = w[order], y[:, order]
     # complex (Arnoldi) ARPACK returns a degenerate eigenspace in an arbitrary
     # basis; only then is a QR paid for.  numpy's threaded LAPACK slows the
     # ARPACK calls after it (a QR per solve made the bands study 60% slower);
@@ -365,7 +380,18 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, sigma: flo
         if np.min(np.abs(d)) < 1e-8:
             raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
         y = q * (d / np.abs(d))     # Gram-Schmidt phases
-    return w, y / root[:, None], _residuals(A, root, y, w)
+    x = y / root[:, None]
+    # the quotient sums terms the size of the 1/eps inclusion entries that
+    # cancel down to lam: in double it lost 1e-8 relative on the 1D cell at
+    # eps = 1e-5, n = 4000 (3e-7 on the radial grid), so it is summed in
+    # long double (extended precision where the platform has it)
+    xl = x.astype(np.clongdouble if np.iscomplexobj(x) else np.longdouble)
+    w = np.real(np.einsum("ij,ij->j", xl.conj(), A.astype(xl.dtype) @ xl)).astype(float)
+    order = np.argsort(w)
+    if lam_max is not None:
+        order = order[w[order] <= lam_max]
+    w, y = w[order], y[:, order]
+    return w, x[:, order], _residuals(A, root, y, w)
 
 
 def _residuals(A: sp.spmatrix, root: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -434,7 +460,9 @@ def _reflection_sectors(opr: DiscreteOperator, k: int):
 
 
 def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
-    """The ``count`` smallest eigenpairs (smallest positive under Neumann).
+    """The ``count`` smallest eigenpairs; under Neumann the constant mode is
+    dropped and the ``count`` after it returned.  A Bloch grid at phase 1
+    keeps its zero eigenvalue as the first.
 
     A mirror-symmetric 2D grid is solved one reflection sector at a time
     (even or odd in x, times even or odd in y; see ``_reflection_sectors``):
@@ -443,33 +471,26 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     gather, and the smallest of all are kept.  A double eigenvalue that the
     symmetry causes lands in two sectors, so no single Lanczos run has to
     resolve it, and each sector factors a quarter-size matrix.  Other grids
-    are one sector.
-
-    The eigenvalues are the Rayleigh quotients of the mass-unit vectors on
-    the full operator, sorted: the Ritz values carry the backward error of
-    the shifted factorization (1e-5 relative on the 1D cell at n = 4000,
-    epsilon = 1e-5, against 1e-9 for the quotients).  The residuals are
-    those of the Ritz values on the full operator.
+    are one sector.  The eigenvalues are the Rayleigh quotients of the
+    solver: the quotient on a sector is the quotient on the full grid.
     """
     if not 1 <= count < opr.dimension - 1:
         raise ValueError("count must be >= 1 and small relative to the dimension")
     n, vol = opr.dimension, opr.grid.cell_volume
     neumann = opr.bc.kind == "neumann"
     k_ask = count + 1 if neumann else count
-    sigma = -1e-8 * abs(opr.K).sum() / (n * vol) if neumann else 0.0
     sectors = _reflection_sectors(opr, k_ask)
-    ritz, vecs, res = [], [], []
+    lams, vecs, res = [], [], []
     for Q, Ks in sectors:
-        w, v, r = shift_invert_eigenpairs(Ks, np.full(Ks.shape[0], vol), k_ask, sigma)
-        ritz.append(w)
+        w, v, r = shift_invert_eigenpairs(Ks, np.full(Ks.shape[0], vol), k_ask)
+        lams.append(w)
         vecs.append(v if Q is None else Q @ v)
         res.append(r)
-    ritz, v, res = np.concatenate(ritz), np.hstack(vecs), np.concatenate(res)
-    w = np.real(np.einsum("ij,ij->j", v.conj(), opr.K @ v))
+    w, v, res = np.concatenate(lams), np.hstack(vecs), np.concatenate(res)
     order = np.argsort(w)[:k_ask]
-    w, v, ritz, res = w[order], v[:, order], ritz[order], res[order]
+    w, v, res = w[order], v[:, order], res[order]
     if len(sectors) > 1:        # the gate's scale is that of the full operator
-        res = _residuals(opr.K, np.full(n, np.sqrt(vol)), v * np.sqrt(vol), ritz)
+        res = _residuals(opr.K, np.full(n, np.sqrt(vol)), v * np.sqrt(vol), w)
     meta = {"constant_mode_lambda": float(w[0])} if neumann else {}
     if neumann:
         w, v, res = w[1:], v[:, 1:], res[1:]
@@ -478,11 +499,8 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
 
 def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
     """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending,
-    mass-orthonormal.  The shift -lam_max / 100 lies below the spectrum of
-    the semi-definite A, so a zero eigenvalue (Neumann closure, integer
-    Bloch number) needs no special case."""
-    return shift_invert_eigenpairs(A, mass, min(16, A.shape[0] - 2), -1e-2 * lam_max,
-                                   lam_max)[:2]
+    mass-orthonormal; a zero eigenvalue of the semi-definite A is included."""
+    return shift_invert_eigenpairs(A, mass, min(16, A.shape[0] - 2), lam_max)[:2]
 
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
 from .dtn import _unit_conductance, _unit_stiffness_blocks
-from .fdm import build_grid, eigenpairs_below, face_phase, factor, shift_invert_eigenpairs
+from .fdm import build_grid, eigenpairs_below, face_phase, factor
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -387,44 +387,20 @@ class _BlochPencil:
         return A
 
 
-def _lowest_positive(eigenvalues, count: int) -> np.ndarray:
-    """The ``count`` smallest values above ``LAM_FLOOR`` of ``eigenvalues(j)``,
-    the j smallest eigenvalues ascending; a zero mode (phase 1 on every wrap
-    face) is dropped and one more eigenvalue asked for in its place."""
-    j = count
-    while True:
-        w = eigenvalues(j)
-        w = w[w > LAM_FLOOR]
-        if w.size >= count:
-            return w[:count]
-        j += count - w.size
-
-
-def _lowest_eigenvalues(A: sp.spmatrix, mass: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` smallest limit eigenvalues above ``LAM_FLOOR``, ascending.
-
-    The count mode of the shift-invert solver, shifted just below the
-    spectrum of the semi-definite pencil.  The values are the Rayleigh
-    quotients of the mass-unit vectors, as in ``_pencil_spectrum``: the
-    Ritz values carry the backward error of the shifted factorization (up
-    to 6e-12 on the 1D cell at n = 1000).
-    """
-    sigma = -1e-8 * abs(A).sum() / mass.sum()
-
-    def rayleigh(j):
-        X = shift_invert_eigenpairs(A, mass, j, sigma)[1]
-        return np.sort(np.real(np.einsum("ij,ij->j", X.conj(), A @ X)))
-
-    return _lowest_positive(rayleigh, count)
+def _pencil_source(ext: ExteriorSystem, f: np.ndarray) -> np.ndarray:
+    """Pencil right-hand side of a cell source f: vol f on the exterior
+    cells, then the integral of f over each inclusion."""
+    sums = [np.sum(f[ext.grid.labels == i + 1]) for i in range(ext.n_inclusions)]
+    return ext.vol * np.concatenate([f[ext.idx_out], sums])
 
 
 def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
     """Limit source problem under a Neumann outer condition.
 
-    The source must have zero mesh mean (solvability).  Solves the
-    exterior problem with zero interface data first, then shifts by the
-    constant that makes the combined field mean-free; the shift is the
-    inclusion value c0.  Returns (u, c0) with u a full grid vector.
+    The source must have zero mesh mean (solvability).  The pencil at z = 0
+    (see :func:`effective_resolvent`) is singular by the constants: one dof
+    is grounded, then the field is shifted to zero mesh mean.  Returns
+    (u, c) with u a full grid vector and c the constant of each inclusion.
     """
     if medium.bc.kind != "neumann":
         raise GeometryError("solve_limit_neumann needs a Neumann outer condition")
@@ -433,14 +409,11 @@ def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
     total = np.sum(f) * ext.vol
     if abs(total) > 1e-12 * max(1.0, np.max(np.abs(f))):
         raise GeometryError("source must have zero mesh mean under Neumann closure")
-    f_ext = f[ext.idx_out]
-    lu = factor(ext.K_EE)
-    u_t = lu.solve(ext.vol * f_ext)
-    domain_vol = ext.grid.ncells * ext.vol
-    c0 = -np.sum(u_t) * ext.vol / domain_vol
-    u = np.full(ext.grid.ncells, c0)
-    u[ext.idx_out] = u_t + c0
-    return u, float(c0)
+    A, mass = ext.pencil()
+    x = np.append(factor(A[:-1, :-1]).solve(_pencil_source(ext, f)[:-1]), 0.0)
+    x -= mass @ x / mass.sum()
+    nE = ext.K_EE.shape[0]
+    return _full_field(ext, x[:nE], x[nE:]), x[nE:]
 
 
 def limit_spectrum_neumann(medium: ContrastMedium, lam_max: float,
@@ -463,10 +436,7 @@ def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
     f = np.asarray(f)
     A, mass = ext.pencil()
     dtype = np.result_type(A.dtype, type(z), f.dtype)
-    m = ext.n_inclusions
-    rhs = np.concatenate([f[ext.idx_out],
-                          [np.sum(f[ext.grid.labels == i + 1]) for i in range(m)]])
-    rhs = ext.vol * rhs.astype(dtype)
+    rhs = _pencil_source(ext, f).astype(dtype)
     x = factor(A.astype(dtype) - z * sp.diags(mass)).solve(rhs)
     nE = ext.K_EE.shape[0]
     return _full_field(ext, x[:nE], x[nE:])

@@ -164,17 +164,14 @@ def radial_operator(a: float, eps: float, n_grid: int,
 
 def radial_eigenpairs(opr: RadialOperator, count: int):
     """Smallest ``count`` eigenpairs of the weighted generalized problem
-    (smallest positive under Neumann), vectors orthonormal in the mass
-    inner product; residuals are those of the mass-scaled standard problem."""
+    (smallest positive under Neumann): Rayleigh quotients and vectors
+    orthonormal in the mass inner product; residuals are those of the
+    mass-scaled standard problem."""
     if count < 1 or count >= opr.n - 1:
         raise ValueError("count out of range")
-    neumann = opr.bc_kind == "neumann"
-    k_ask = count + 1 if neumann else count
-    sigma = -1e-8 * abs(opr.K).sum() / opr.n if neumann else 0.0
-    w, v, res = shift_invert_eigenpairs(opr.K, opr.M, k_ask, sigma)
-    if neumann:
-        w, v, res = w[1:], v[:, 1:], res[1:]
-    return w, v, res
+    drop = int(opr.bc_kind == "neumann")
+    w, v, res = shift_invert_eigenpairs(opr.K, opr.M, count + drop)
+    return w[drop:], v[:, drop:], res[drop:]
 
 
 def flux_at_interface(opr: RadialOperator, u: np.ndarray) -> float:

@@ -25,6 +25,9 @@ def test_real_multiplier_rejected_by_the_transfer_scan():
     for bad in (0.0, np.pi / 2, np.pi):
         with pytest.raises(GeometryError):
             bloch.dispersion_sweep(cell_medium(), [0.3, bad], 2, [1e-2])
+    # the closed form of the symmetric cell at eps = 0 would drop lambda = 0
+    with pytest.raises(GeometryError):
+        bloch.dispersion_sweep(cell_medium(), [0.7, 0.0], 3, [0.0])
     bands = bloch.dispersion_sweep(cell_medium(), [1.0, 2.0, 1.0005], 2, [1e-2])
     assert np.all(bands.branches[1e-2] > 0)
     with pytest.raises(GeometryError):
@@ -33,14 +36,18 @@ def test_real_multiplier_rejected_by_the_transfer_scan():
 
 @pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
 def test_limit_rows_near_integer_k_and_at_phase_one(geom, n):
-    # k = pi is phase 1 at L = 2: the zero mode is dropped as under Neumann
+    # k = pi is phase 1 at L = 2: the zero mode is band 1 there
     ks = [1.0005, np.pi]
     bands = bloch.dispersion_sweep(ContrastMedium(geom, 0.0, BoundaryKind.bloch(0.3)),
                                    ks, 2, [0.0], n)
     for i, k in enumerate(ks):
         opr = fdm.assemble(at_k(geom, k, 1e-7), n)
-        w = fdm.smallest_eigenpairs(opr, 3).eigenvalues
-        assert np.allclose(bands.branches[0.0][i], w[w > 1e-6][:2], rtol=1e-5, atol=0)
+        w = fdm.smallest_eigenpairs(opr, 2).eigenvalues
+        row = bands.branches[0.0][i]
+        if geom is ASYM and k == np.pi:
+            assert abs(row[0]) < 1e-8 and abs(w[0]) < 1e-6
+            row, w = row[1:], w[1:]
+        assert np.allclose(row, w, rtol=1e-5, atol=0)
 
 
 def test_free_cell_bands_are_folded_parabolas():
@@ -125,11 +132,15 @@ def test_rephased_pencil_equals_fresh_build(geom, n, k):
 
 @pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
 def test_limit_rows_match_window_rows(geom, n):
-    # k = pi on the square has full square symmetry: a double at 46.739
+    # k = pi on the square has full square symmetry: a double at 46.739; on
+    # the 1D cell (L = 2) it is phase 1, where band 1 is the zero mode that
+    # the window drops
     ks = [-np.pi / 2 - 0.2, 0.4, 2.2, np.pi]
     arr = bloch.dispersion_sweep(at_k(geom, 0.5), ks, 4, [0.0], n).branches[0.0]
-    expect = np.array([window_row(geom, k, 4, n) for k in ks])
-    assert np.allclose(arr, expect, rtol=1e-10, atol=0)
+    for k, row in zip(ks, arr):
+        zero = int(geom is ASYM and k == np.pi)
+        assert np.all(np.abs(row[:zero]) < 1e-8)
+        assert np.allclose(row[zero:], window_row(geom, k, 4 - zero, n), rtol=1e-10, atol=0)
     if geom is SQUARE:
         assert arr[3, 3] - arr[3, 2] < 1e-8 * arr[3, 2]
 
@@ -149,12 +160,14 @@ def test_one_exterior_per_sweep(geom, n, monkeypatch):
 
 
 def test_grid_rows_ask_for_the_branches_kept():
-    # k = 2 pi puts phase 1 on every wrap face: the row drops the zero mode
+    # k = 2 pi puts phase 1 on every wrap face: the zero mode is band 1
     ks = [-2.5, 0.7, 2 * np.pi]
     arr = bloch.dispersion_sweep(at_k(SQUARE, 0.5, 0.1), ks, 3, [0.1]).branches[0.1]
     for row, k in zip(arr, ks):
         w = fdm.smallest_eigenpairs(fdm.assemble(at_k(SQUARE, k, 0.1)), 5).eigenvalues
-        assert np.allclose(row, w[w > limitspec.LAM_FLOOR][:3], rtol=1e-10, atol=0)
+        zero = int(k == 2 * np.pi)
+        assert np.all(np.abs(row[:zero]) < 1e-8) and np.all(np.abs(w[:zero]) < 1e-8)
+        assert np.allclose(row[zero:], w[zero:3], rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("geom, n", [(ASYM, 1000), (SQUARE, None)])
@@ -185,11 +198,28 @@ def test_reused_rows_equal_fresh_solves(geom, n, eps):
 def test_one_solve_per_plus_minus_k_pair(geom, n, grid_solve, ks, solves, monkeypatch):
     calls = collections.Counter()
     for module, name in [(exact1d, "transfer_spectrum_1d"), (fdm, "smallest_eigenpairs"),
-                         (limitspec, "_lowest_eigenvalues")]:
+                         (fdm, "shift_invert_eigenpairs")]:
         def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _solve(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     bloch.dispersion_sweep(at_k(geom, 0.5), ks, 3, [1e-1, 0.0], n)
-    assert calls == {grid_solve: solves, "_lowest_eigenvalues": solves}
+    # the eps = 0 rows call the count mode on the pencil; the square's grid
+    # rows call it once more, from inside smallest_eigenpairs
+    grid_count_modes = solves if grid_solve == "smallest_eigenpairs" else 0
+    assert calls == {grid_solve: solves, "shift_invert_eigenpairs": solves + grid_count_modes}
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-2, 0.0])
+def test_a_sweep_through_gamma_keeps_band_one_and_the_gaps(eps):
+    # Gamma is phase 1 on every wrap face: band 1 is the zero mode there.
+    # Stepping around Gamma instead gives the same gaps.
+    ks = np.pi * np.arange(-3, 5) / 4
+    around = np.concatenate([ks[ks != 0], [-0.05, 0.05]])
+    through = bloch.dispersion_sweep(at_k(SQUARE, 0.5), ks, 4, [eps])
+    stepped = bloch.dispersion_sweep(at_k(SQUARE, 0.5), around, 4, [eps])
+    assert abs(through.branches[eps][3, 0]) < 1e-8
+    gaps = bloch.gap_report(through, eps)
+    assert len(gaps) == 1
+    assert np.allclose(gaps, bloch.gap_report(stepped, eps), rtol=1e-10, atol=0)

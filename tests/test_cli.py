@@ -243,3 +243,18 @@ def test_cli_import_skips_ndimage_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_two_processes_write_identical_spectra(tmp_path):
+    # the residuals (and lambda_1 in its 12th digit) moved between runs
+    # while ARPACK started from a random vector
+    cfg = write_cfg(tmp_path, "c.json", {"medium": med1d(), "count": 3})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    written = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        subprocess.run([sys.executable, "-m", "highcontrast.cli", "spectrum", "--config", cfg,
+                        "--out", str(out)], env={**os.environ, "PYTHONPATH": src},
+                       check=True, capture_output=True, timeout=120)
+        written.append((out / "spectrum.csv").read_bytes())
+    assert written[0] == written[1]

@@ -239,8 +239,8 @@ class TestReflectionSectors:
         res = fdm.smallest_eigenpairs(opr, 6)
         assert len(solves) == 4 and max(solves) <= opr.dimension // 2
         vol = opr.grid.cell_volume
-        ref = fdm.shift_invert_eigenpairs(opr.K, np.full(opr.dimension, vol), 7 if neumann else 6,
-                                          -1.0 if neumann else 0.0)[0]
+        ref = fdm.shift_invert_eigenpairs(opr.K, np.full(opr.dimension, vol),
+                                          7 if neumann else 6)[0]
         if neumann:
             assert abs(ref[0]) < 1e-8 and abs(res.metadata["constant_mode_lambda"]) < 1e-8
             ref = ref[1:]

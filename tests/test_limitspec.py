@@ -137,6 +137,23 @@ def test_neumann_source_problem():
     assert ext.interface_flux(phi, u[ext.idx_out])[0] == pytest.approx(-1.0, abs=1e-10)
 
 
+def test_neumann_source_with_two_inclusions():
+    # each inclusion carries its own constant; the finite-contrast solves
+    # approach the limit field linearly in eps
+    m = med(BoundaryKind.neumann(), TWO)
+    x = fdm.build_grid(m, 2000).centers
+    f = x + 0.5 * np.cos(np.pi * x)
+    f -= np.mean(f)
+    u, c = limitspec.solve_limit_neumann(m, f, 2000)
+    err = [np.max(np.abs(fdm.solve(fdm.assemble(m.with_epsilon(eps), 2000), f) - u))
+           for eps in (1e-4, 1e-5)]
+    assert err[0] < 1e-3 * np.max(np.abs(u))
+    assert 9.0 < err[0] / err[1] < 11.0
+    assert abs(np.mean(u)) < 1e-12
+    for i, (a, b) in enumerate(TWO.inclusions):
+        assert np.all(u[(x > a) & (x < b)] == c[i])
+
+
 def test_neumann_source_needs_zero_mean():
     m = med(BoundaryKind.neumann())
     ext = limitspec.build_exterior(m, 500)
