@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
 from .dtn import _unit_conductance, _unit_stiffness_blocks
-from .fdm import build_grid, eigenpairs_below, face_phase, factor
+from .fdm import build_grid, check_constant_mode, eigenpairs_below, face_phase, factor
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 TOL_FLUX = 1e-6         # base zero-flux filter tolerance (scaled)
 TOL_TRACE = 1e-6        # mass share on the inclusions below which c = 0
 CLUSTER_TOL = 1e-6      # eigenvalue cluster / collision reporting width
-LAM_FLOOR = 1e-8        # strictly positive spectrum only
+LAM_FLOOR = 1e-8        # zero_flux_branch keeps clusters above it only
 
 
 class ResonanceError(ValueError):
@@ -281,13 +281,18 @@ def _pencil_pair(ext: ExteriorSystem, A, mass: np.ndarray, x: np.ndarray,
 
 
 def _pencil_spectrum(ext: ExteriorSystem, lam_max: float) -> LimitSpectrum:
-    """Every limit eigenpair on (0, lam_max] from one sparse pencil solve."""
+    """Every limit eigenpair up to lam_max from one sparse pencil solve.  The
+    closure decides the zero mode, as in ``fdm.smallest_eigenpairs``: Neumann
+    drops its constant mode (checked to be zero), a Bloch cell at phase 1
+    keeps lambda = 0 as its first eigenvalue."""
     if lam_max <= 0:
         raise ValueError("lam_max must be > 0")
     A, mass = ext.pencil()
     w, X = eigenpairs_below(A, mass, lam_max)
-    keep = w > LAM_FLOOR
-    w, X = w[keep], X[:, keep]
+    if ext.medium.bc.kind == "neumann":
+        # with no eigenvalue after it in the window, lam_max bounds the next
+        check_constant_mode(w[0], w[1] if w.size > 1 else lam_max)
+        w, X = w[1:], X[:, 1:]
     nE = ext.K_EE.shape[0]
     weight = np.sqrt(mass[nE:])[:, None]
     pairs = []
@@ -307,7 +312,7 @@ def _pencil_spectrum(ext: ExteriorSystem, lam_max: float) -> LimitSpectrum:
 
 def det_scan(medium: ContrastMedium, lam_max: float, n: int = None,
              ext: ExteriorSystem = None) -> LimitSpectrum:
-    """Constant-trace limit eigenvalues on (0, lam_max]: the roots of det T,
+    """Constant-trace limit eigenvalues up to lam_max: the roots of det T,
     taken as the pencil eigenpairs with c != 0."""
     spec = _pencil_spectrum(ext or build_exterior(medium, n), lam_max)
     pairs = tuple(p for p in spec.pairs if p.branch == "constant_trace")
@@ -354,7 +359,8 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
 
 
 def limit_spectrum(medium: ContrastMedium, lam_max: float, n: int = None) -> LimitSpectrum:
-    """Both limit families on (0, lam_max], sorted by eigenvalue."""
+    """Both limit families up to lam_max, sorted by eigenvalue; lambda = 0
+    only on a Bloch cell at phase 1 (Neumann drops its constant mode)."""
     return _pencil_spectrum(build_exterior(medium, n), lam_max)
 
 

@@ -129,6 +129,17 @@ class TestEigen:
         assert abs(res.metadata["constant_mode_lambda"]) < 1e-8
         assert res.eigenvalues[0] > 1.0
 
+    def test_a_missing_constant_mode_is_not_dropped_silently(self, monkeypatch):
+        inner = fdm.shift_invert_eigenpairs
+
+        def missing_first(A, mass, k, lam_max=None):
+            w, x, r = inner(A, mass, k + 1, lam_max)
+            return w[1:], x[:, 1:], r[1:]
+
+        monkeypatch.setattr(fdm, "shift_invert_eigenpairs", missing_first)
+        with pytest.raises(fdm.EigensolverError, match="constant mode"):
+            fdm.smallest_eigenpairs(fdm.assemble(med1d(1e-2, BoundaryKind.neumann()), 400), 2)
+
     def test_eigenvectors_mesh_orthonormal(self):
         opr = fdm.assemble(med1d(1e-2), 400)
         res = fdm.smallest_eigenpairs(opr, 3)
@@ -212,7 +223,13 @@ def split_cases():
         "odd": ContrastMedium(Geometry2D(1.0, 1.0, 1 / 33, odd), 1e-2, BoundaryKind.dirichlet()),
         "wide": ContrastMedium(wide, 1e-2, BoundaryKind.dirichlet()),
         "corners": med2d(1e-2, h=1 / 64, rects=CORNERS),
+        "rect": med2d(1e-2, h=1 / 64, rects=((0.25, 0.75, 0.375, 0.625),)),
     }
+
+
+# sector solves per case: the two odd-by-even sectors of a square grid with a
+# transpose-symmetric mask are one solve
+SECTOR_SOLVES = {"dirichlet": 3, "neumann": 3, "odd": 3, "wide": 4, "corners": 3, "rect": 4}
 
 
 @pytest.fixture
@@ -232,12 +249,12 @@ def solves(monkeypatch):
 class TestReflectionSectors:
     """Mirror-symmetric 2D grids are solved one reflection sector at a time."""
 
-    @pytest.mark.parametrize("case", ["dirichlet", "neumann", "odd", "wide", "corners"])
+    @pytest.mark.parametrize("case", list(SECTOR_SOLVES))
     def test_sectors_match_the_unsplit_solve(self, case, solves):
         opr = fdm.assemble(split_cases()[case])
         neumann = opr.bc.kind == "neumann"
         res = fdm.smallest_eigenpairs(opr, 6)
-        assert len(solves) == 4 and max(solves) <= opr.dimension // 2
+        assert len(solves) == SECTOR_SOLVES[case] and max(solves) <= opr.dimension // 2
         vol = opr.grid.cell_volume
         ref = fdm.shift_invert_eigenpairs(opr.K, np.full(opr.dimension, vol),
                                           7 if neumann else 6)[0]
@@ -270,6 +287,8 @@ class TestReflectionSectors:
                 assert np.allclose(np.flip(v, ax), s * v, atol=1e-12)
             parities.append(parity)
         assert parities[0] != parities[1]
+        v1, v2 = res.eigenvectors[:, 1], res.eigenvectors[:, 2]
+        assert abs(v1 @ v2) * opr.grid.cell_volume < 1e-10
 
     @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
     @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
@@ -279,6 +298,13 @@ class TestReflectionSectors:
         for ax in (0, 1):
             P = np.flip(idx, ax).ravel()
             assert abs(K[P][:, P] - K).max() == 0
+
+    @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
+    @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
+    def test_operator_commutes_with_the_transpose(self, rects, bc):
+        K = fdm.assemble(med2d(1e-3, h=1 / 32, bc=bc, rects=rects)).K
+        P = np.arange(K.shape[0]).reshape(32, 32).T.ravel()
+        assert abs(K[P][:, P] - K).max() == 0
 
 
 class TestSolve:

@@ -124,6 +124,21 @@ def test_neumann_limit_spectrum():
     assert np.all(spec.eigenvalues > 0)
 
 
+def test_neumann_limit_drop_is_checked(monkeypatch):
+    inner = limitspec.eigenpairs_below
+
+    def missing_first(A, mass, lam_max):
+        w, X = inner(A, mass, lam_max)
+        return w[1:], X[:, 1:]
+
+    monkeypatch.setattr(limitspec, "eigenpairs_below", missing_first)
+    with pytest.raises(fdm.EigensolverError, match="constant mode"):
+        limitspec.limit_spectrum_neumann(med(BoundaryKind.neumann()), 45.0, 1000)
+    # with no eigenvalue after it in the window, lam_max is the reference
+    with pytest.raises(fdm.EigensolverError, match="constant mode"):
+        limitspec.limit_spectrum_neumann(med(BoundaryKind.neumann()), 12.0, 1000)
+
+
 def test_neumann_source_problem():
     m = med(BoundaryKind.neumann())
     ext = limitspec.build_exterior(m, 2000)
