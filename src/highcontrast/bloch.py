@@ -147,10 +147,5 @@ def gap_report(bands: BandStructure, eps: float) -> list[tuple[float, float]]:
     """Spectral gaps at one contrast: intervals between the max of branch n
     over k and the min of branch n+1, when that interval is nonempty."""
     arr = bands.branches[float(eps)]
-    gaps = []
-    for j in range(arr.shape[1] - 1):
-        lo = float(np.max(arr[:, j]))
-        hi = float(np.min(arr[:, j + 1]))
-        if hi > lo:
-            gaps.append((lo, hi))
-    return gaps
+    lo, hi = arr[:, :-1].max(axis=0), arr[:, 1:].min(axis=0)
+    return [(float(a), float(b)) for a, b in zip(lo, hi) if b > a]

@@ -380,23 +380,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    run, failure = {"spectrum": (run_spectrum, None), "limit": (run_limit, None),
+                    "dispersion": (run_dispersion, None),
+                    "converge": (run_converge, "convergence check failed"),
+                    "validate": (run_validate, "validation failed")}[args.task]
     try:
-        if args.task == "spectrum":
-            run_spectrum(cfg, args.out, args.format)
-        elif args.task == "limit":
-            run_limit(cfg, args.out, args.format)
-        elif args.task == "dispersion":
-            run_dispersion(cfg, args.out, args.format)
-        elif args.task == "converge":
-            report = run_converge(cfg, args.out, args.format)
-            if not report["passed"]:
-                print("convergence check failed", file=sys.stderr)
-                return EXIT_VALIDATION
-        else:
-            verdict = run_validate(cfg, args.out, args.format)
-            if not verdict["passed"]:
-                print("validation failed", file=sys.stderr)
-                return EXIT_VALIDATION
+        if not run(cfg, args.out, args.format).get("passed", True):
+            print(failure, file=sys.stderr)
+            return EXIT_VALIDATION
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

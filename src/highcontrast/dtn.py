@@ -229,9 +229,8 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
         raise GeometryError(f"singular interior/exterior block: {exc}") from exc
 
     nG = len(gamma)
-    Nm = np.diag(K_GG_in).astype(K_IG.dtype) - K_IG.T.conj() @ in_lu.solve(K_IG.toarray())
-    Sout = np.diag(K_GG_out).astype(K_EG.dtype) - K_EG.T.conj() @ out_lu.solve(K_EG.toarray())
-    Np = -Sout
+    Nm = np.diag(K_GG_in) - K_IG.T.conj() @ in_lu.solve(K_IG.toarray())
+    Np = K_EG.T.conj() @ out_lu.solve(K_EG.toarray()) - np.diag(K_GG_out)
 
     m = int(incl_of.max())
     C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
@@ -249,13 +248,9 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
         Z[incl_of == i, col:col + ni - 1] = (np.eye(ni)[:, 1:]
                                              - np.outer(v, v[1:]) * (2.0 / (v @ v)))
         col += ni - 1
-    if np.iscomplexobj(Nm):
-        Z = Z.astype(complex)
-        C_use = C.astype(complex)
-    else:
-        C_use = C
 
-    return DtNSystem(medium, grid, gamma, incl_of, Nm, Np, C_use, Z,
+    return DtNSystem(medium, grid, gamma, incl_of, Nm, Np,
+                     C.astype(Nm.dtype), Z.astype(Nm.dtype),
                      _in_solve=in_lu.solve, _out_solve=out_lu.solve,
                      _K_IG=K_IG, _K_EG=K_EG,
                      _K_GG_in=K_GG_in, _K_GG_out=K_GG_out,

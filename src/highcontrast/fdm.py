@@ -21,7 +21,9 @@ with the grid reflections, so ``smallest_eigenpairs`` solves it one
 reflection sector at a time (even or odd in x, times even or odd in y)
 and merges the unfolded vectors: up to four quarter-size solves, three
 when a square grid's mask is also transpose-symmetric, since the two
-odd-by-even sectors are then each other's transpose.
+odd-by-even sectors are then each other's transpose.  A window (every
+eigenvalue up to lam_max, ``eigenpairs_below``) is sized by Sylvester's
+law of inertia, and the solve must agree with that count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "EigensolverError",
     "assemble",
     "factor",
+    "count_below",
     "shift_invert_eigenpairs",
     "smallest_eigenpairs",
     "eigenpairs_below",
@@ -315,21 +318,32 @@ def _geometry_tag(medium: ContrastMedium) -> str:
     return f"{type(geom).__name__}:{digest.hexdigest()[:16]}"
 
 
-def factor(A: sp.spmatrix):
+def factor(A: sp.spmatrix, **options):
     """Sparse LU of A with the minimum-degree ordering of A^T + A: every matrix
     factored here is Hermitian, and on the 2D grids this ordering has about
-    half the fill of scipy's default COLAMD."""
+    half the fill of scipy's default COLAMD.  ``options`` go to ``splu``."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", **options)
     except RuntimeError as exc:
         raise EigensolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, lam_max: float = None):
-    """Eigenpairs (lam, X, residuals), ascending, of the semi-definite A x =
-    lam diag(mass) x from the bottom of the spectrum: k pairs, or with
-    ``lam_max`` all pairs <= lam_max (k doubles until the largest passes
-    it).  X is mass-orthonormal and lam are its Rayleigh quotients.
+def count_below(A: sp.spmatrix, mass: np.ndarray, s: float) -> int:
+    """Number of eigenvalues of the Hermitian A x = lam diag(mass) x below s:
+    by Sylvester's law of inertia, the negative pivots Re diag(U) of a
+    symmetric-mode ``splu`` of A - s diag(mass) that kept perm_r == perm_c
+    (then U = diag(U) L^H).  No pivot is bounded away from zero: put s in a gap."""
+    lu = factor(A - s * sp.diags(mass), diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError("the inertia count needs a symmetric pivot order")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int):
+    """The k lowest eigenpairs (lam, X, residuals), ascending, of the
+    semi-definite A x = lam diag(mass) x.  X is mass-orthonormal and lam are
+    its Rayleigh quotients.
 
     The shift is -1e-8 min_i A_ii / mass_i.  That ratio is the Rayleigh
     quotient of a unit vector, so it bounds the lowest eigenvalue from above
@@ -361,18 +375,11 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, lam_max: f
     v0 = rng.standard_normal(n)
     if np.iscomplexobj(A):
         v0 = v0 + 1j * rng.standard_normal(n)
-    while True:
-        try:
-            w, y = spla.eigsh(B, k=k, sigma=sigma, OPinv=OPinv, which="LM",
-                              maxiter=MAX_EIG_ITER, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-        if lam_max is None or w.max() > lam_max:
-            break
-        if k >= n - 2:
-            raise EigensolverError(f"more than {k} eigenvalues below {lam_max}: "
-                                   "the window holds nearly the whole grid")
-        k = min(2 * k, n - 2)
+    try:
+        w, y = spla.eigsh(B, k=k, sigma=sigma, OPinv=OPinv, which="LM",
+                          maxiter=MAX_EIG_ITER, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     # complex (Arnoldi) ARPACK returns a degenerate eigenspace in an arbitrary
     # basis; only then is a QR paid for.  numpy's threaded LAPACK slows the
     # ARPACK calls after it (a QR per solve made the bands study 60% slower);
@@ -391,8 +398,6 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int, lam_max: f
     xl = x.astype(np.clongdouble if np.iscomplexobj(x) else np.longdouble)
     w = np.real(np.einsum("ij,ij->j", xl.conj(), A.astype(xl.dtype) @ xl)).astype(float)
     order = np.argsort(w)
-    if lam_max is not None:
-        order = order[w[order] <= lam_max]
     w, y = w[order], y[:, order]
     return w, x[:, order], _residuals(A, root, y, w)
 
@@ -529,8 +534,20 @@ def check_constant_mode(lam0: float, lam1: float) -> None:
 
 def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
     """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending,
-    mass-orthonormal; a zero eigenvalue of the semi-definite A is included."""
-    return shift_invert_eigenpairs(A, mass, min(16, A.shape[0] - 2), lam_max)[:2]
+    mass-orthonormal; a zero eigenvalue of the semi-definite A is included.
+
+    ``count_below`` gives their number c, and the count mode is asked for
+    c + 1 pairs, of which exactly c must lie at or below lam_max: the count
+    and the solve check each other from both sides, so a copy of a multiple
+    eigenvalue that either one drops or adds raises."""
+    c = count_below(A, mass, lam_max)
+    if c + 1 > A.shape[0] - 2:
+        raise EigensolverError(f"the window below {lam_max} holds {c} of {A.shape[0]} eigenvalues")
+    w, X, _ = shift_invert_eigenpairs(A, mass, c + 1)
+    if np.count_nonzero(w <= lam_max) != c:
+        raise EigensolverError(f"the inertia count of {c} eigenvalues below {lam_max} "
+                               f"disagrees with the eigensolver: {w}")
+    return w[:c], X[:, :c]
 
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._roots import scan_roots
-from .fdm import (ALIGN_TOL, eigenpairs_below, face_matrix, harmonic_means,
-                  shift_invert_eigenpairs)
+from .fdm import (ALIGN_TOL, check_constant_mode, eigenpairs_below, face_matrix,
+                  harmonic_means, shift_invert_eigenpairs)
 from .geometry import GeometryError
 
 __all__ = [
@@ -164,13 +164,15 @@ def radial_operator(a: float, eps: float, n_grid: int,
 
 def radial_eigenpairs(opr: RadialOperator, count: int):
     """Smallest ``count`` eigenpairs of the weighted generalized problem
-    (smallest positive under Neumann): Rayleigh quotients and vectors
-    orthonormal in the mass inner product; residuals are those of the
-    mass-scaled standard problem."""
+    (under Neumann those after the constant mode, checked to be zero):
+    Rayleigh quotients and vectors orthonormal in the mass inner product;
+    residuals are those of the mass-scaled standard problem."""
     if count < 1 or count >= opr.n - 1:
         raise ValueError("count out of range")
     drop = int(opr.bc_kind == "neumann")
     w, v, res = shift_invert_eigenpairs(opr.K, opr.M, count + drop)
+    if drop:
+        check_constant_mode(w[0], w[1])
     return w[drop:], v[:, drop:], res[drop:]
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from highcontrast import fdm, limitspec
+from highcontrast import fdm, limitspec, radial3d
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
                                    Geometry2D, GeometryError, rectangles_to_mask)
 
@@ -132,8 +133,8 @@ class TestEigen:
     def test_a_missing_constant_mode_is_not_dropped_silently(self, monkeypatch):
         inner = fdm.shift_invert_eigenpairs
 
-        def missing_first(A, mass, k, lam_max=None):
-            w, x, r = inner(A, mass, k + 1, lam_max)
+        def missing_first(A, mass, k):
+            w, x, r = inner(A, mass, k + 1)
             return w[1:], x[:, 1:], r[1:]
 
         monkeypatch.setattr(fdm, "shift_invert_eigenpairs", missing_first)
@@ -210,6 +211,88 @@ class TestShiftInvert:
     def test_factor_failure_is_an_eigensolver_error(self):
         with pytest.raises(fdm.EigensolverError):
             fdm.factor(sp.csc_matrix((3, 3)))
+
+
+@functools.lru_cache(maxsize=None)
+def window_pencil(name):
+    """(A, mass, eigenvalues by dense eigh) of a pencil the window mode serves."""
+    if name == "radial":
+        K, M, _ = radial3d._exterior_radial(0.5, 400)
+        A, mass = K, M.diagonal()
+    else:
+        centre = ((0.25, 0.75, 0.25, 0.75),)
+        h, rects, bc = {"centre": (1 / 48, centre, BoundaryKind.dirichlet()),
+                        "corners": (1 / 32, CORNERS, BoundaryKind.dirichlet()),
+                        "neumann": (1 / 16, centre, BoundaryKind.neumann()),
+                        "bloch": (1 / 16, centre, BoundaryKind.bloch(0.7))}[name]
+        A, mass = limitspec.build_exterior(med2d(0.0, h, bc, rects)).pencil()
+    root = np.sqrt(mass)
+    return A, mass, sla.eigh(A.toarray() / np.outer(root, root), eigvals_only=True)
+
+
+class TestWindowCount:
+    """The inertia count and the window it sizes, against dense eigh."""
+
+    @pytest.mark.parametrize("name, lam_max", [
+        ("centre", 250.0), ("corners", 250.0),
+        ("corners", 549.07),        # just above the 549.068 double
+        ("neumann", 300.0),         # the zero mode inside the window
+        ("bloch", 250.0), ("radial", 400.0)])
+    def test_count_and_window_match_dense(self, name, lam_max):
+        A, mass, ref = window_pencil(name)
+        ref = ref[ref <= lam_max]
+        assert fdm.count_below(A, mass, lam_max) == ref.size
+        w, X = fdm.eigenpairs_below(A, mass, lam_max)
+        assert w.size == ref.size
+        assert np.allclose(w, ref, rtol=1e-10, atol=1e-10)
+        G = X.conj().T @ (mass[:, None] * X)
+        assert np.allclose(G, np.eye(w.size), atol=1e-10)
+
+    @pytest.mark.parametrize("lost", [0, 1])    # the lowest pair, a copy of a double
+    def test_a_lost_pair_disagrees_with_the_count(self, monkeypatch, lost):
+        inner = fdm.shift_invert_eigenpairs
+
+        def losing(A, mass, k):
+            w, x, r = inner(A, mass, k + 1)
+            keep = np.arange(k + 1) != lost
+            return w[keep], x[:, keep], r[keep]
+
+        monkeypatch.setattr(fdm, "shift_invert_eigenpairs", losing)
+        A, mass, _ = window_pencil("corners")
+        with pytest.raises(fdm.EigensolverError, match="disagrees"):
+            fdm.eigenpairs_below(A, mass, 250.0)
+
+    def test_a_window_edge_on_a_double_never_returns_one_copy(self):
+        A, mass, ref = window_pencil("corners")
+        double = ref[6:8]
+        assert double[1] - double[0] < 1e-10 * double[0]
+        w, _ = fdm.eigenpairs_below(A, mass, 238.0639)      # 7e-6 above both copies
+        assert np.count_nonzero(np.abs(w - double[0]) < 1e-6) == 2
+        for lam_max in (double[0], double[1], double.mean()):   # both copies or neither
+            try:
+                w, _ = fdm.eigenpairs_below(A, mass, lam_max)
+            except fdm.EigensolverError:
+                continue
+            assert np.count_nonzero(np.abs(w - double[0]) < 1e-6) in (0, 2)
+
+    def test_a_count_that_splits_a_double_raises(self, monkeypatch):
+        # the solver's two quotients of the double are equal, so they lie on
+        # one side of any lam_max: a count of one copy cannot agree with them
+        A, mass, ref = window_pencil("corners")
+        monkeypatch.setattr(fdm, "count_below", lambda A, mass, s: 7)
+        with pytest.raises(fdm.EigensolverError, match="disagrees"):
+            fdm.eigenpairs_below(A, mass, ref[6:8].mean())
+
+    def test_an_unsymmetric_pivot_order_is_refused(self, monkeypatch):
+        inner = fdm.factor
+
+        def row_pivoted(A, **options):
+            return inner(A)
+
+        monkeypatch.setattr(fdm, "factor", row_pivoted)
+        A, mass, _ = window_pencil("corners")
+        with pytest.raises(fdm.EigensolverError, match="symmetric pivot order"):
+            fdm.count_below(A, mass, 250.0)
 
 
 def split_cases():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from highcontrast import radial3d
+from highcontrast import fdm, radial3d
 from highcontrast.geometry import GeometryError
 
 A = 0.5
@@ -77,6 +77,19 @@ def test_neumann_variant_drops_constant():
     assert w[0] > 0.5
     # eigenvectors are mass-orthogonal to the constant
     assert abs(np.sum(opr.M * v[:, 0])) < 1e-8
+
+
+def test_a_missing_radial_constant_mode_is_not_dropped_silently(monkeypatch):
+    inner = radial3d.shift_invert_eigenpairs
+
+    def missing_first(A, mass, k):
+        w, x, r = inner(A, mass, k + 1)
+        return w[1:], x[:, 1:], r[1:]
+
+    monkeypatch.setattr(radial3d, "shift_invert_eigenpairs", missing_first)
+    opr = radial3d.radial_operator(A, 1e-2, 500, bc="neumann")
+    with pytest.raises(fdm.EigensolverError, match="constant mode"):
+        radial3d.radial_eigenpairs(opr, 2)
 
 
 def test_flux_at_interface_of_limit_mode():
