@@ -35,6 +35,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
+#: Smallest contrast ``converge`` accepts; grid spectra below it are rounding noise.
+EPS_FLOOR = 1e-6
+
 _MEDIUM_SCHEMA = {
     "type": "object",
     "properties": {
@@ -226,9 +229,10 @@ def _limit_reference(med: ContrastMedium, cfg: dict, lam_max: float) -> np.ndarr
 def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
     """Contrast sweep of one grid spectrum with affine extrapolation to 0.
 
-    The sweep must be geometric with ratio <= 1/2 and at least 4 points.
-    Divergent (inclusion-dominated) branches are detected by growth along
-    the sweep and excluded from extrapolation.
+    The sweep must be geometric with ratio <= 1/2, have at least 4 points
+    and stay at or above EPS_FLOOR.  Divergent (inclusion-dominated)
+    branches are detected by growth along the sweep and excluded from
+    extrapolation.
     """
     med = _medium(cfg)
     eps_list = sorted(cfg.get("eps_list", [1e-1, 1e-2, 1e-3, 1e-4]), reverse=True)
@@ -237,6 +241,10 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
     ratios = [eps_list[i + 1] / eps_list[i] for i in range(len(eps_list) - 1)]
     if max(ratios) > 0.5 + 1e-12 or max(ratios) / min(ratios) > 1.0 + 1e-9:
         raise ConfigError("eps_list must be geometric with ratio <= 1/2")
+    if eps_list[-1] < EPS_FLOOR:
+        raise ConfigError(f"converge needs every contrast >= {EPS_FLOOR:g}: below it the "
+                          "grid eigenvalues carry rounding noise of 1e-7 to 1e-5, "
+                          "which the affine fit cannot resolve")
     count = cfg.get("count", 4)
 
     table, flatness = [], []                       # (n_eps, count) each

@@ -15,6 +15,9 @@ Mp/Mm the source-to-flux maps.  Traces split into per-inclusion constants
 plus zero-mean remainders; the block elimination in that splitting is
 what evaluates the inverse at eps = 0 and exposes the flux constant that
 determines the inclusion value.
+
+Nm and Np are each read off the trailing block of one unpivoted sparse LU
+of their side's augmented system, with no dense right-hand side.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_blas_funcs
 
 from .fdm import (DiscreteOperator, EigensolverError, Grid, build_grid, cell_sigma,
                   face_matrix, factor)
@@ -74,8 +78,6 @@ class DtNSystem:
     _out_solve: object = field(repr=False, default=None)
     _K_IG: sp.csr_matrix = field(repr=False, default=None)
     _K_EG: sp.csr_matrix = field(repr=False, default=None)
-    _K_GG_in: np.ndarray = field(repr=False, default=None)
-    _K_GG_out: np.ndarray = field(repr=False, default=None)
     _idx_in: np.ndarray = field(repr=False, default=None)
     _idx_out: np.ndarray = field(repr=False, default=None)
 
@@ -208,12 +210,42 @@ def _unit_stiffness_blocks(grid: Grid):
             K_EE, K_EG, np.full(nG, g_half))
 
 
+def _schur(lu, K: sp.spmatrix, KG: sp.spmatrix, D: sp.spmatrix) -> np.ndarray:
+    """D - KG^H K^-1 KG, dense, off the trailing block of one unpivoted LU.
+
+    The cells go first in the column order of their own factor ``lu`` (so
+    the fill is that of ``lu``) and the interface dofs last.  Kept in that
+    order and unpivoted, the LU of [[K, KG], [KG^H, D]] has L22 U22 equal
+    to the Schur complement; a factor that pivoted anyway raises."""
+    q = np.argsort(lu.perm_c)
+    KGq = KG[q]
+    aug = factor(sp.bmat([[K[q][:, q], KGq], [KGq.T.conj(), D]]), permc_spec="NATURAL",
+                 diag_pivot_thresh=0, options={"SymmetricMode": True})
+    n = K.shape[0]
+    order = np.arange(n + KG.shape[1])
+    if not (np.array_equal(aug.perm_r, order) and np.array_equal(aug.perm_c, order)):
+        raise EigensolverError("the Schur complement needs an unpivoted factor")
+    L22, U22 = aug.L[n:, n:].toarray(), aug.U[n:, n:].toarray()
+    # scipy's BLAS, whose threads the factorization has just woken: with two
+    # CPUs, numpy's own pool run against them took 15 ms at nG = 192, not 0.5
+    return get_blas_funcs("gemm", (L22, U22))(1.0, L22, U22)
+
+
 def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     """Interface flux operators of the medium's grid; the contrast is ignored.
 
     The exterior closure follows the medium's outer condition (Dirichlet
     or Bloch at a non-integer wave vector); the Neumann pathway skips the
     constants block and lives in :mod:`highcontrast.limitspec`.
+
+    Np = -(D_out - K_EG^H K_EE^-1 K_EG) is read off one unpivoted LU of the
+    exterior augmented system (:func:`_schur`).  The interior one,
+    [[K_II, K_IG], [K_IG^H, diag(K_GG_in)]], has the per-inclusion constants
+    in its kernel, so unlifted its last pivot can be exactly zero.  It is
+    factored with diag(K_GG_in) + alpha C C^T (alpha the mean of K_GG_in),
+    which is definite, and Nm is that Schur complement minus alpha C C^T.
+    The cell factors ``in_lu`` and ``out_lu`` fix the orderings and serve
+    Mm, Mp and :func:`apply_Bhat`.
     """
     if medium.bc.kind == "neumann":
         raise GeometryError("Neumann outer conditions use the limit-source pathway "
@@ -228,12 +260,15 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     except EigensolverError as exc:
         raise GeometryError(f"singular interior/exterior block: {exc}") from exc
 
-    nG = len(gamma)
-    Nm = np.diag(K_GG_in) - K_IG.T.conj() @ in_lu.solve(K_IG.toarray())
-    Np = K_EG.T.conj() @ out_lu.solve(K_EG.toarray()) - np.diag(K_GG_out)
-
     m = int(incl_of.max())
     C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
+    CCt = (incl_of[:, None] == incl_of).astype(float)
+    alpha = float(np.mean(K_GG_in))
+    Nm = _schur(in_lu, K_II, K_IG,
+                sp.diags(K_GG_in) + alpha * sp.csc_matrix(CCt)) - alpha * CCt
+    Np = -_schur(out_lu, K_EE, K_EG, sp.diags(K_GG_out))
+
+    nG = len(gamma)
     # orthonormal basis of the per-inclusion zero-mean subspace: columns
     # 2..n_i of the Householder reflector I - 2 v v^T / v^T v that maps e_1 to
     # the unit constant 1/sqrt(n_i) (v = e_1 - 1/sqrt(n_i)), no factorization
@@ -252,9 +287,7 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     return DtNSystem(medium, grid, gamma, incl_of, Nm, Np,
                      C.astype(Nm.dtype), Z.astype(Nm.dtype),
                      _in_solve=in_lu.solve, _out_solve=out_lu.solve,
-                     _K_IG=K_IG, _K_EG=K_EG,
-                     _K_GG_in=K_GG_in, _K_GG_out=K_GG_out,
-                     _idx_in=idx_in, _idx_out=idx_out)
+                     _K_IG=K_IG, _K_EG=K_EG, _idx_in=idx_in, _idx_out=idx_out)
 
 
 def _split_source(sys: DtNSystem, f: np.ndarray):

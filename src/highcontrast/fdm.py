@@ -318,12 +318,14 @@ def _geometry_tag(medium: ContrastMedium) -> str:
     return f"{type(geom).__name__}:{digest.hexdigest()[:16]}"
 
 
-def factor(A: sp.spmatrix, **options):
-    """Sparse LU of A with the minimum-degree ordering of A^T + A: every matrix
-    factored here is Hermitian, and on the 2D grids this ordering has about
-    half the fill of scipy's default COLAMD.  ``options`` go to ``splu``."""
+def factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A", **options):
+    """Sparse LU of A, by default with the minimum-degree ordering of A^T + A:
+    every matrix factored here is Hermitian, and on the 2D grids this ordering
+    has about half the fill of scipy's default COLAMD.  ``permc_spec="NATURAL"``
+    keeps a column order the caller has already chosen.  ``options`` go to
+    ``splu``."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", **options)
+        return spla.splu(A.tocsc(), permc_spec=permc_spec, **options)
     except RuntimeError as exc:
         raise EigensolverError(f"sparse factorization failed: {exc}") from exc
 

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
 from .dtn import _unit_conductance, _unit_stiffness_blocks
-from .fdm import build_grid, check_constant_mode, eigenpairs_below, face_phase, factor
+from .fdm import (build_grid, check_constant_mode, count_below, eigenpairs_below,
+                  face_phase, factor)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -218,12 +219,14 @@ def exterior_helmholtz_solve(medium: ContrastMedium, lam: float, c: np.ndarray,
                              n: int = None, ext: ExteriorSystem = None) -> np.ndarray:
     """Full-grid exterior Helmholtz solution with constant data c_i per interface.
 
-    Raises :class:`ResonanceError` when lambda sits on an exterior
-    eigenvalue.
+    Raises :class:`ResonanceError` when an exterior eigenvalue lies within
+    POLE_MARGIN max(1, |lambda|) of lambda: two inertia counts of the
+    exterior block, one on each side of that window, differ.
     """
     ext = ext or build_exterior(medium, n)
-    poles = ext.exterior_eigs(abs(lam) * 1.2 + 1.0)[0]
-    if poles.size and np.min(np.abs(poles - lam)) < POLE_MARGIN * max(1.0, abs(lam)):
+    margin = POLE_MARGIN * max(1.0, abs(lam))
+    mass = np.full(ext.K_EE.shape[0], ext.vol)
+    if count_below(ext.K_EE, mass, lam + margin) != count_below(ext.K_EE, mass, lam - margin):
         raise ResonanceError(f"lambda={lam} is an exterior resonance")
     c = np.asarray(c, dtype=complex if ext.K_EE.dtype.kind == "c" else float)
     lu = ext.helmholtz_factor(lam)

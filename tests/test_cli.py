@@ -122,6 +122,19 @@ def test_converge_passes_against_limit(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("eps_list, code", [
+    ([1e-4, 1e-5, 1e-6, 1e-7], cli.EXIT_CONFIG),
+    ([1e-3, 1e-4, 1e-5, 1e-6], cli.EXIT_OK),
+])
+def test_converge_refuses_contrasts_below_noise_floor(tmp_path, capsys, eps_list, code):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"medium": med1d(), "eps_list": eps_list, "count": 1})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == code
+    if code == cli.EXIT_CONFIG:
+        assert "1e-06" in capsys.readouterr().err
+        assert not (tmp_path / "converge.json").exists()
+
+
 def test_validate_verdict(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"medium": med1d(h=0.005)})
     assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -1,5 +1,7 @@
 """Interface reduction: Schur-complement operators and the block solve."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,59 @@ def test_blocks_computed_once():
         block = getattr(sysd, name)
         assert getattr(sysd, name) is block
         assert np.array_equal(block, expect)
+
+
+def square(h, rects):
+    return Geometry2D(1.0, 1.0, h, rectangles_to_mask(1.0, 1.0, h, rects))
+
+
+CENTRE = [(0.25, 0.75, 0.25, 0.75)]
+CORNERS = [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625) for y in (0.125, 0.625)]
+
+
+@pytest.mark.parametrize("med, n, rtol", [
+    # 1D blocks are conditioned like 1/h^2: there the row sums of Nm, 0 exactly, read ~3e-13
+    (ContrastMedium(SYM, 1e-2, BoundaryKind.dirichlet()), 400, 1e-12),
+    (ContrastMedium(ASYM, 1e-2, BoundaryKind.bloch(0.7)), 400, 1e-12),
+    (ContrastMedium(square(1 / 16, CENTRE), 1e-2, BoundaryKind.dirichlet()), None, 1e-14),
+    (ContrastMedium(square(1 / 32, CORNERS), 1e-2, BoundaryKind.dirichlet()), None, 1e-14),
+    (ContrastMedium(square(1 / 32, CENTRE), 1e-2, BoundaryKind.bloch((0.7, 0.3))), None,
+     1e-14),
+])
+def test_flux_maps_equal_dense_schur_complements(med, n, rtol):
+    sysd = dtn.build_dtn(med, n)
+    (_g, _i, _ii, _io, K_II, K_IG, D_in,
+     K_EE, K_EG, D_out) = dtn._unit_stiffness_blocks(sysd.grid)
+    for got, K, KG, D, sign in ((sysd.Nm, K_II, K_IG, D_in, 1.0),
+                                (sysd.Np, K_EE, K_EG, D_out, -1.0)):
+        KG = KG.toarray()
+        ref = sign * (np.diag(D) - KG.conj().T @ np.linalg.inv(K.toarray()) @ KG)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) < rtol * scale
+        assert np.max(np.abs(got - got.conj().T)) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("med, n", [
+    *[(ContrastMedium(SYM, 1e-2, BoundaryKind.dirichlet()), n) for n in (8, 16, 64)],
+    *[(ContrastMedium(square(h, CENTRE), 1e-2, BoundaryKind.dirichlet()), None)
+      for h in (1 / 8, 1 / 16)],
+])
+def test_interior_map_builds_on_exact_grids(med, n):
+    """Grids whose interior system has an exactly zero last pivot unlifted."""
+    sysd = dtn.build_dtn(med, n)
+    assert np.max(np.abs(sysd.Nm @ sysd.C)) < 1e-13
+
+
+def test_pivoted_schur_factor_raises(monkeypatch):
+    real = dtn.factor
+
+    def pivoting(A, permc_spec="MMD_AT_PLUS_A", **options):
+        lu = real(A, permc_spec=permc_spec, **options)
+        if permc_spec != "NATURAL":
+            return lu
+        return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c[::-1].copy(),
+                               L=lu.L, U=lu.U)
+
+    monkeypatch.setattr(dtn, "factor", pivoting)
+    with pytest.raises(fdm.EigensolverError, match="unpivoted"):
+        dtn.build_dtn(ContrastMedium(SYM, 1e-2, BoundaryKind.dirichlet()), 16)

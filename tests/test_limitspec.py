@@ -104,6 +104,22 @@ def test_resonance_is_refused(ext_sym):
                                            float(pole), [1.0], ext=ext_sym)
 
 
+@pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.bloch((0.7, 0.3))])
+def test_pole_margin_is_sharp(bc):
+    """A pole 2 margins away solves; half a margin away it is refused."""
+    h = 1 / 32
+    square = Geometry2D(1.0, 1.0, h, rectangles_to_mask(1.0, 1.0, h, [(0.25, 0.75, 0.25, 0.75)]))
+    m = med(bc, square)
+    ext = limitspec.build_exterior(m)
+    pole = float(ext.exterior_eigs(200.0)[0][0])
+    for lam in (pole * (1 + 2 * limitspec.POLE_MARGIN), pole * (1 - 2 * limitspec.POLE_MARGIN)):
+        u = limitspec.exterior_helmholtz_solve(m, lam, [1.0], ext=ext)
+        assert np.all(np.isfinite(u))
+    for lam in (pole * (1 + 0.5 * limitspec.POLE_MARGIN), pole * (1 - 0.5 * limitspec.POLE_MARGIN)):
+        with pytest.raises(limitspec.ResonanceError):
+            limitspec.exterior_helmholtz_solve(m, lam, [1.0], ext=ext)
+
+
 def test_flux_functional_gauge_independence(ext_sym):
     """Adding a zero-flux exterior eigenvector leaves the fluxes unchanged."""
     zf = limitspec.zero_flux_branch(med(BoundaryKind.dirichlet()), 45.0,
