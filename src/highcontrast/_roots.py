@@ -18,14 +18,18 @@ __all__ = ["RootReport", "scan_roots", "windows_between_poles"]
 
 #: Brackets are kept this far (relative to window size) away from poles.
 POLE_MARGIN = 1e-8
+#: Scan points per window when no step is given.
+N_MIN = 64
+#: Adjacent roots closer than this (relative) are reported as a cluster.
+CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class RootReport:
     """Roots found in a window scan, with diagnostics.
 
-    ``clusters`` lists pairs of adjacent roots closer than the cluster
-    tolerance; those are reported rather than resolved.
+    ``clusters`` lists pairs of adjacent roots closer than ``CLUSTER_TOL``;
+    those are reported rather than resolved.
     """
 
     roots: tuple[float, ...]
@@ -33,15 +37,15 @@ class RootReport:
     clusters: tuple[tuple[float, float], ...] = ()
 
 
-def windows_between_poles(lo: float, hi: float, poles: Sequence[float],
-                          margin: float = POLE_MARGIN) -> list[tuple[float, float]]:
-    """Split (lo, hi) into open windows avoiding each pole by a relative margin."""
+def windows_between_poles(lo: float, hi: float,
+                          poles: Sequence[float]) -> list[tuple[float, float]]:
+    """Split (lo, hi) into open windows avoiding each pole by ``POLE_MARGIN``."""
     pts = sorted(p for p in poles if lo < p < hi)
     pole_set = set(pts)
     edges = [lo] + pts + [hi]
     windows = []
     for a, b in zip(edges[:-1], edges[1:]):
-        pad = margin * max(abs(a), abs(b), 1.0)
+        pad = POLE_MARGIN * max(abs(a), abs(b), 1.0)
         aa = a + pad if a in pole_set else a
         bb = b - pad if b in pole_set else b
         if aa < bb:
@@ -51,14 +55,13 @@ def windows_between_poles(lo: float, hi: float, poles: Sequence[float],
 
 def scan_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                poles: Sequence[float] = (), step: float = None,
-               n_min: int = 64, xtol: float = 1e-12,
-               cluster_tol: float = 1e-6) -> RootReport:
+               xtol: float = 1e-12) -> RootReport:
     """All simple roots of ``f`` on (lo, hi) away from ``poles``.
 
     ``f`` takes arrays: it is called once per window on the whole scan
     grid, elementwise, and with scalars while Brent's method polishes.
-    ``step`` is the scan resolution (defaults to splitting each window in
-    ``n_min`` pieces); sign changes are bisected by Brent's method to
+    ``step`` is the scan resolution (each window has at least ``N_MIN``
+    pieces); sign changes are bisected by Brent's method to
     ``xtol`` and polished values are returned sorted.  A sign change whose
     polished point has a residual above both bracket values is a pole, not
     a root, and is dropped.
@@ -67,7 +70,7 @@ def scan_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
     found = []                                  # (root, residual)
     for a, b in windows_between_poles(lo, hi, poles):
-        n = max(n_min, int(np.ceil((b - a) / step)) if step else n_min)
+        n = max(N_MIN, int(np.ceil((b - a) / step)) if step else N_MIN)
         xs = np.linspace(a, b, n + 1)
         vals = f(xs)
         sign = np.sign(vals)
@@ -83,5 +86,5 @@ def scan_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     found.sort()
     roots = [r for r, _ in found]
     clusters = tuple((r1, r2) for r1, r2 in zip(roots[:-1], roots[1:])
-                     if r2 - r1 < cluster_tol * max(1.0, abs(r1)))
+                     if r2 - r1 < CLUSTER_TOL * max(1.0, abs(r1)))
     return RootReport(tuple(roots), tuple(res for _, res in found), clusters)

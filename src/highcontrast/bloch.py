@@ -61,19 +61,15 @@ class BandStructure:
 
 
 def _spectrum_1d(geom: Geometry1D, eps: float, k: float, count: int) -> np.ndarray:
-    """First ``count`` quasi-periodic eigenvalues of the 1D cell, exact."""
+    """First ``count`` quasi-periodic eigenvalues of the 1D cell from the exact
+    transfer matrices, at every contrast (eps = 0 makes each inclusion a
+    rigid point mass)."""
     bc = BoundaryKind.bloch(k)
     lam_max = max(4.0, (count * np.pi / (geom.x_hi - geom.x_lo) * 2) ** 2)
     for _ in range(8):
-        if eps > 0 or not geom.inclusions:
-            s = exact1d.transfer_spectrum_1d(geom, eps if eps > 0 else 1.0, bc, lam_max)
-            eigs = s.eigenvalues
-        else:
-            a = geom.inclusions[0][1]
-            pts = exact1d.bloch_limit_curve(a, [k], lam_max)
-            eigs = np.array([p.lam for p in pts])
+        eigs = exact1d.transfer_spectrum_1d(geom, eps, bc, lam_max).eigenvalues
         if eigs.size >= count:
-            return np.sort(eigs)[:count]
+            return eigs[:count]
         lam_max *= 2.0
     raise RuntimeError(f"could not collect {count} branches at k={k}, eps={eps}")
 
@@ -96,10 +92,11 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
                      eps_list, n: int = None) -> BandStructure:
     """Band structure over k_grid x eps_list (eps = 0 rows use the limit solver).
 
-    1D cells use exact transfer matrices at every contrast, and the closed
-    form at eps = 0 on a symmetric cell; 2D cells use the grid assembly
-    (``n`` forwarded where a grid is needed).  The other eps = 0 rows share
-    one limit pencil, built once per sweep and re-phased per Bloch number.
+    1D cells use exact transfer matrices at eps > 0, and at eps = 0 too on
+    a cell without inclusions or with one inclusion centred in a centred
+    cell; 2D cells use the grid assembly (``n`` forwarded where a grid is
+    needed).  The other eps = 0 rows share one limit pencil, built once
+    per sweep and re-phased per Bloch number.
     Each ±k pair is solved once per contrast: the coefficients are real, so
     the operator at -k is the complex conjugate of the one at k and has the
     same spectrum; a k whose exact negation came earlier copies that row.

@@ -183,7 +183,7 @@ def run_limit(cfg: dict, out: str, fmt: str = "csv") -> dict:
     cols = ",".join(f"c_{i + 1}" for i in range(geom.n_inclusions))
     _emit(rows, f"branch,lambda,{cols},flux_residual,pde_residual",
           os.path.join(out, "limit.csv"), fmt)
-    if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):
+    if exact1d.closed_form_covers(geom, med.bc):
         exact = exact1d.limit_spectrum_1d(geom, med.bc, lam_max)
         rows = [(branch, i + 1, l, np.sqrt(l), 0.0)
                 for branch, family in (("S1", exact.S1), ("S2", exact.S2))
@@ -220,7 +220,7 @@ def _limit_reference(med: ContrastMedium, cfg: dict, lam_max: float) -> np.ndarr
         pairs, _ = radial3d.sphere_limit_spectrum(geom.a, lam_max)
         return np.array([l for l, _f in pairs])
     if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):
-        return exact1d.limit_spectrum_1d(geom, med.bc, lam_max).all_eigenvalues
+        return exact1d.transfer_spectrum_1d(geom, 0.0, med.bc, lam_max).eigenvalues
     spec = limitspec.limit_spectrum(med.with_epsilon(0.0), lam_max,
                                     _grid_n(cfg, med))
     return spec.eigenvalues
@@ -344,9 +344,8 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
     if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):
         def limit_match():
             lam_max = cfg.get("lambda_max", 50.0)
-            exact = exact1d.limit_spectrum_1d(geom, med.bc, lam_max)
+            ref = exact1d.transfer_spectrum_1d(geom, 0.0, med.bc, lam_max).eigenvalues
             spec = limitspec.limit_spectrum(med.with_epsilon(0.0), lam_max, n)
-            ref = exact.all_eigenvalues
             worst = 0.0
             for lam in spec.eigenvalues:
                 worst = max(worst, float(np.min(np.abs(ref - lam)) / lam))

@@ -1,21 +1,24 @@
 """Exact one-dimensional machinery: transfer-matrix spectra and closed-form limits.
 
-For contrast ``eps > 0`` the eigenvalues of the piecewise medium on an
-interval are the zeros of an entire transfer-matrix determinant, computed
-with 2x2 propagation matrices of the state (u, sigma*u') per homogeneous
-segment -- no discretization error.  For the limit ``eps -> 0`` the
-closed-form characteristic equations of the single-inclusion examples
-(Dirichlet/Neumann/Bloch and the transfer determinant itself) are
-evaluated directly and their roots bracketed between analytically known
-poles.
+At every contrast ``eps >= 0`` the eigenvalues of the piecewise medium on
+an interval are the zeros of an entire transfer-matrix determinant,
+computed with 2x2 propagation matrices of the state (u, sigma*u') per
+homogeneous segment -- no discretization error -- and each eigenfunction
+is one propagation of its start state.  At ``eps = 0`` an inclusion is a
+rigid point mass (sigma = inf): u is constant across it and the flux
+drops by lambda |I| u, the matrix [[1, 0], [-lambda |I|, 1]], which is
+the eps -> 0 limit of the finite-contrast one.
 
-The limit spectrum splits into two branches: roots of the nonlocal
-characteristic equation (eigenfunctions constant on the inclusion), and
-exterior Dirichlet eigenvalues whose flux through each interface balances
-to zero (eigenfunctions vanishing on the inclusion).  The latter branch
-exists only under an arithmetic condition on the interval lengths, decided
-here by a continued-fraction rationality test with an explicit
-certificate.
+The closed-form characteristic equations of the single-inclusion examples
+(Dirichlet/Neumann on (-1, 1), the Bloch cell (-1, 1)) stay as oracles for
+the limit eigenvalues; their roots are bracketed between analytically
+known poles.  The limit spectrum splits into two branches: roots of the
+nonlocal characteristic equation (eigenfunctions constant on the
+inclusion), and exterior Dirichlet eigenvalues whose flux through each
+interface balances to zero (eigenfunctions vanishing on the inclusion).
+The latter branch exists only under an arithmetic condition on the
+interval lengths, decided here by a continued-fraction rationality test
+with an explicit certificate.
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ __all__ = [
     "transfer_trace",
     "transfer_spectrum_1d",
     "limit_spectrum_1d",
+    "closed_form_covers",
     "bloch_limit_curve",
     "rationality_certificate",
 ]
 
 TOL_POLE = 1e-8          # in sqrt(lambda) units
-TOL_ROOT = 1e-12
-CLUSTER_TOL = 1e-6
 RATIONAL_MAX_DEN = 10**6
 RATIONAL_TOL = 1e-12
 SCAN_OVERSAMPLE = 24     # scan points per expected eigenvalue spacing
@@ -131,21 +133,31 @@ def char_poles(cf: CharacteristicFunction, lam_max: float) -> list[float]:
 # transfer matrices
 
 def _segments(geom: Geometry1D, eps: float) -> list[tuple[float, float, float]]:
-    """Homogeneous segments (x0, x1, sigma) covering the interval in order."""
+    """Homogeneous segments (x0, x1, sigma) covering the interval in order;
+    at eps = 0 the inclusions have sigma = inf."""
     pts = [geom.x_lo, *geom.interfaces, geom.x_hi]
+    sigma_in = 1.0 / eps if eps > 0 else np.inf
     segs = []
     for i, (x0, x1) in enumerate(zip(pts[:-1], pts[1:])):
-        sigma = 1.0 / eps if i % 2 == 1 else 1.0
+        sigma = sigma_in if i % 2 == 1 else 1.0
         segs.append((x0, x1, sigma))
     return segs
 
 
 def _propagate(lam, length: float, sigma: float) -> np.ndarray:
     """Transfer matrices of the state (u, sigma*u') across one segment,
-    shape ``lam.shape + (2, 2)``."""
-    kappa = np.sqrt(np.asarray(lam, dtype=float) / sigma)
+    shape ``lam.shape + (2, 2)``.  A segment with sigma = inf is a rigid
+    point mass, the sigma -> inf limit: u stays constant and the flux drops
+    by lambda * length * u."""
+    lam = np.asarray(lam, dtype=float)
+    P = np.empty(lam.shape + (2, 2))
+    if np.isinf(sigma):
+        P[..., 0, 0] = P[..., 1, 1] = 1.0
+        P[..., 0, 1] = 0.0
+        P[..., 1, 0] = -lam * length
+        return P
+    kappa = np.sqrt(lam / sigma)
     c, sn = np.cos(kappa * length), np.sin(kappa * length)
-    P = np.empty(kappa.shape + (2, 2))
     P[..., 0, 0] = P[..., 1, 1] = c
     P[..., 0, 1] = sn / (sigma * kappa)
     P[..., 1, 0] = -sigma * kappa * sn
@@ -199,7 +211,8 @@ class Eigenfunction1D:
 
     Each segment carries (x0, x1, sigma, u0, du0); on it
     u(x) = u0*cos(kappa (x-x0)) + (du0/kappa)*sin(kappa (x-x0)) with
-    kappa = sqrt(lambda/sigma).  Coefficients may be complex (Bloch).
+    kappa = sqrt(lambda/sigma), and u(x) = u0 where sigma = inf (an
+    inclusion at eps = 0).  Coefficients may be complex (Bloch).
     """
 
     lam: float
@@ -222,11 +235,14 @@ def _piecewise_values(lam, segments, x: np.ndarray) -> np.ndarray:
     out = np.zeros(lam.shape[:-1] + x.shape, dtype=complex)
     filled = np.zeros(x.shape, dtype=bool)
     for x0, x1, sigma, u0, du0 in segments:
-        kappa = np.sqrt(lam / sigma)
         sel = (~filled) & (x >= x0 - 1e-14) & (x <= x1 + 1e-14)
-        t = x[sel] - x0
-        out[..., sel] = (np.asarray(u0)[..., None] * np.cos(kappa * t)
-                         + (np.asarray(du0)[..., None] / kappa) * np.sin(kappa * t))
+        if np.isinf(sigma):
+            out[..., sel] = np.asarray(u0)[..., None]
+        else:
+            kappa = np.sqrt(lam / sigma)
+            t = x[sel] - x0
+            out[..., sel] = (np.asarray(u0)[..., None] * np.cos(kappa * t)
+                             + (np.asarray(du0)[..., None] / kappa) * np.sin(kappa * t))
         filled |= sel
     return out
 
@@ -252,22 +268,24 @@ def _oscillation_count(geom: Geometry1D, eps: float, lam: float) -> int:
     """Number of interior zeros of the Dirichlet shooting solution at lambda.
 
     By Sturm oscillation theory this equals the number of Dirichlet
-    eigenvalues below lambda (lambda itself not an eigenvalue).
+    eigenvalues below lambda (lambda itself not an eigenvalue).  A rigid
+    inclusion (sigma = inf) keeps u constant, so it adds no zero.
     """
     count = 0
     state = np.array([0.0, 1.0])
     for x0, x1, sigma in _segments(geom, eps):
-        kappa = np.sqrt(lam / sigma)
-        u0, w0 = state
-        # u = R sin(kappa t + delta) with R sin(delta)=u0, R cos(delta)=u'0/kappa
-        delta = np.arctan2(u0, w0 / sigma / kappa)
         length = x1 - x0
-        # zeros at kappa t + delta = n pi, counted on the half-open (0, length]
-        # so interface zeros are attributed to exactly one segment; the t = 0
-        # zero of the first segment is the boundary condition, not a node
-        n_lo = int(np.floor(delta / np.pi)) + 1
-        n_hi = int(np.floor((kappa * length + delta) / np.pi + 1e-12))
-        count += max(0, n_hi - n_lo + 1)
+        if not np.isinf(sigma):
+            kappa = np.sqrt(lam / sigma)
+            u0, w0 = state
+            # u = R sin(kappa t + delta) with R sin(delta)=u0, R cos(delta)=u'0/kappa
+            delta = np.arctan2(u0, w0 / sigma / kappa)
+            # zeros at kappa t + delta = n pi, counted on the half-open (0, length]
+            # so interface zeros are attributed to exactly one segment; the t = 0
+            # zero of the first segment is the boundary condition, not a node
+            n_lo = int(np.floor(delta / np.pi)) + 1
+            n_hi = int(np.floor((kappa * length + delta) / np.pi + 1e-12))
+            count += max(0, n_hi - n_lo + 1)
         state = _propagate(lam, length, sigma) @ state
     # the zero at the right endpoint (if lambda were an eigenvalue) was
     # included by the half-open convention; callers probe off-spectrum lambdas
@@ -286,15 +304,17 @@ class Spectrum1D:
 
 def transfer_spectrum_1d(geom: Geometry1D, eps: float, bc: BoundaryKind,
                          lam_max: float) -> Spectrum1D:
-    """All eigenvalues in (0, lam_max] of the 1D operator at contrast eps.
+    """All eigenvalues in (0, lam_max] of the 1D operator at contrast eps >= 0.
 
-    Zeros of the (entire) transfer determinant are found by a scan whose
-    step resolves the slowest expected eigenvalue spacing; for the
-    Dirichlet case the count is verified against the Sturm oscillation
-    count and a mismatch raises :class:`ScanResolutionError`.
+    At eps = 0 each inclusion is a rigid point mass of its length, which
+    gives the limit spectrum of any layout.  Zeros of the (entire)
+    transfer determinant are found by a scan whose step resolves the
+    slowest expected eigenvalue spacing; for the Dirichlet case the count
+    is verified against the Sturm oscillation count and a mismatch raises
+    :class:`ScanResolutionError`.
     """
-    if eps <= 0:
-        raise ValueError("transfer spectra need eps > 0")
+    if eps < 0:
+        raise ValueError("transfer spectra need eps >= 0")
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
     f = _char_transfer(geom, eps, bc)
@@ -303,7 +323,7 @@ def transfer_spectrum_1d(geom: Geometry1D, eps: float, bc: BoundaryKind,
     s_max = np.sqrt(lam_max)
     step = np.pi / (L_opt * SCAN_OVERSAMPLE)
     rep = _roots.scan_roots(lambda s: f(s * s), np.sqrt(lam_max) * 1e-9, s_max,
-                            step=step, xtol=1e-14, cluster_tol=CLUSTER_TOL)
+                            step=step, xtol=1e-14)
     lams = np.array([s * s for s in rep.roots])
     if bc.kind == "dirichlet":
         probe = lam_max
@@ -380,7 +400,9 @@ class BranchedSpectrum:
     ``S2`` are the roots of the nonlocal characteristic equation
     (eigenfunctions constant on the inclusion); ``S1`` are exterior
     eigenvalues with flux balance (eigenfunctions vanishing on the
-    inclusion), present only when the certificate is rational.
+    inclusion), present only when the certificate is rational.  The
+    eigenvalues are closed-form; each eigenfunction is propagated through
+    the eps = 0 transfer matrices, where the inclusion is a rigid point mass.
     """
 
     S1: tuple[tuple[float, Eigenfunction1D], ...]
@@ -392,52 +414,45 @@ class BranchedSpectrum:
         return np.array(sorted([l for l, _ in self.S1] + [l for l, _ in self.S2]))
 
 
-def _limit_S2_function(a: float, b: float, bc_kind: str, lam: float) -> Eigenfunction1D:
-    """Closed-form constant-on-inclusion limit eigenfunction, sup-norm 1,
-    inclusion constant positive."""
-    s = np.sqrt(lam)
-    trig = np.sin if bc_kind == "dirichlet" else np.cos
-    dtrig = (lambda t: np.cos(t)) if bc_kind == "dirichlet" else (lambda t: -np.sin(t))
-    den_l = trig(s * (a + 1))
-    den_r = trig(s * (b - 1))
-    # left: trig(s(x+1))/den_l anchored at x=-1; value at a is 1
-    segs = (
-        (-1.0, a, 1.0, trig(0.0) / den_l, s * dtrig(0.0) / den_l),
-        (a, b, np.inf, 1.0, 0.0),
-        (b, 1.0, 1.0, trig(s * (b - 1)) / den_r, s * dtrig(s * (b - 1)) / den_r),
-    )
-    # the inclusion "segment" is constant; represent with sigma=inf -> kappa=0
-    fn = _normalize_piecewise(lam, segs)
-    return fn
+def closed_form_covers(geom, bc: BoundaryKind) -> bool:
+    """Whether :func:`limit_spectrum_1d` covers the medium: one inclusion in
+    the interval (-1, 1) under Dirichlet or Neumann."""
+    return (isinstance(geom, Geometry1D) and geom.n_inclusions == 1
+            and abs(geom.x_lo + 1) < 1e-12 and abs(geom.x_hi - 1) < 1e-12
+            and bc.kind in ("dirichlet", "neumann"))
 
 
-def _normalize_piecewise(lam, segs) -> Eigenfunction1D:
-    # kappa=0 segments are encoded with huge sigma so cos(kappa t) ~ 1
-    safe = tuple((x0, x1, 1e30 if not np.isfinite(s) else s, u0, du0)
-                 for x0, x1, s, u0, du0 in segs)
-    fn = Eigenfunction1D(lam, safe)
-    xs = np.linspace(safe[0][0], safe[-1][1], 4001)
-    vals = np.real(np.asarray(fn(xs)))
-    scale = np.max(np.abs(vals))
-    return Eigenfunction1D(lam, tuple((x0, x1, s, u0 / scale, du0 / scale)
-                                      for x0, x1, s, u0, du0 in safe))
+def _limit_eigenfunctions(geom: Geometry1D, bc: BoundaryKind, lams: list[float],
+                          seg: int) -> tuple[tuple[float, Eigenfunction1D], ...]:
+    """(lambda, eigenfunction) pairs propagated at eps = 0: real, sup-norm 1 on
+    the samples of :func:`_eigenfunctions`, and signed so that u0 + du0 of
+    segment ``seg`` is positive (the inclusion constant for seg = 1, the
+    start value or slope at x_lo for seg = 0)."""
+    lams = np.array(lams, dtype=float)
+    pairs = []
+    for fn in _eigenfunctions(geom, 0.0, lams, _start_states(geom, 0.0, bc, lams)):
+        sign = np.sign((fn.segments[seg][3] + fn.segments[seg][4]).real)
+        pairs.append((fn.lam, Eigenfunction1D(fn.lam, tuple(
+            (x0, x1, s, sign * u0.real, sign * du0.real)
+            for x0, x1, s, u0, du0 in fn.segments))))
+    return tuple(pairs)
 
 
 def limit_spectrum_1d(geom: Geometry1D, bc: BoundaryKind, lam_max: float) -> BranchedSpectrum:
     """Limit spectrum of the single-inclusion problem on (-1, 1).
 
-    Returns both branches up to ``lam_max`` with closed-form
-    eigenfunctions and the rationality certificate controlling the
-    flux-balanced branch.
+    Returns both branches up to ``lam_max`` and the rationality
+    certificate controlling the flux-balanced branch.  The eigenvalues are
+    the closed-form ones; the eigenfunctions come from one propagation at
+    eps = 0.  Gauges: sup-norm 1 over 2001 equispaced samples, with the
+    inclusion constant positive on S2 and the first exterior antinode
+    positive on S1.
     """
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
-    if geom.n_inclusions != 1:
-        raise GeometryError("closed forms cover a single inclusion")
-    if not (abs(geom.x_lo + 1) < 1e-12 and abs(geom.x_hi - 1) < 1e-12):
-        raise GeometryError("closed forms are stated on the interval (-1, 1)")
-    if bc.kind not in ("dirichlet", "neumann"):
-        raise GeometryError("limit_spectrum_1d covers Dirichlet and Neumann")
+    if not closed_form_covers(geom, bc):
+        raise GeometryError("closed forms cover one inclusion in the interval (-1, 1) "
+                            "under Dirichlet or Neumann")
     a, b = geom.inclusions[0]
     kind = "dirichlet_S2" if bc.kind == "dirichlet" else "neumann_S2"
     cf = CharacteristicFunction(kind, a, b)
@@ -445,61 +460,26 @@ def limit_spectrum_1d(geom: Geometry1D, bc: BoundaryKind, lam_max: float) -> Bra
     spacing = np.pi / max(1 + a, 1 - b)
     rep = _roots.scan_roots(lambda s: eval_char(cf, s * s), 1e-9, np.sqrt(lam_max),
                             poles=[np.sqrt(p) for p in poles],
-                            step=spacing / SCAN_OVERSAMPLE, cluster_tol=CLUSTER_TOL)
-    S2 = tuple((s * s, _limit_S2_function(a, b, bc.kind, s * s)) for s in rep.roots)
+                            step=spacing / SCAN_OVERSAMPLE)
 
     ratio = (1 + a) / (1 - b)
     cert = rationality_certificate(ratio, odd=(bc.kind == "neumann"))
     S1 = []
     if cert.rational:
-        n0, m0 = cert.n0, cert.m0
+        m0 = cert.m0
         n = 1 if bc.kind == "dirichlet" else 0
         while True:
             if bc.kind == "dirichlet":
                 s = np.pi * m0 * n / (1 - b)
             else:
                 s = np.pi * (2 * n + 1) * m0 / (2 * (1 - b))
-            lam = s * s
-            if lam > lam_max:
+            if s * s > lam_max:
                 break
-            S1.append((lam, _limit_S1_function(a, b, bc.kind, cert, n)))
+            S1.append(s * s)
             n += 1
-    return BranchedSpectrum(tuple(S1), S2, cert)
-
-
-def _limit_S1_function(a, b, bc_kind, cert, n) -> Eigenfunction1D:
-    """Flux-balanced limit eigenfunction vanishing on the inclusion.
-
-    Gauge: sup-norm 1 with the first exterior antinode positive.
-    """
-    n0, m0 = cert.n0, cert.m0
-    if bc_kind == "dirichlet":
-        kl = np.pi * n0 * n / (1 + a)
-        kr = np.pi * m0 * n / (1 - b)
-        sgn_l, sgn_r = (-1.0) ** (n0 * n), (-1.0) ** (m0 * n)
-        segs = (
-            (-1.0, a, 1.0, 0.0, sgn_l * kl),
-            (a, b, np.inf, 0.0, 0.0),
-            (b, 1.0, 1.0, sgn_r * np.sin(kr * (b - 1)), sgn_r * kr * np.cos(kr * (b - 1))),
-        )
-    else:
-        kl = np.pi * (2 * n + 1) * n0 / (2 * (1 + a))
-        kr = np.pi * (2 * n + 1) * m0 / (2 * (1 - b))
-        sgn_l, sgn_r = 1.0, -1.0
-        segs = (
-            (-1.0, a, 1.0, sgn_l, 0.0),
-            (a, b, np.inf, 0.0, 0.0),
-            (b, 1.0, 1.0, sgn_r * np.cos(kr * (b - 1)), -sgn_r * kr * np.sin(kr * (b - 1))),
-        )
-    lam = kl * kl
-    fn = _normalize_piecewise(lam, segs)
-    # gauge: first exterior antinode positive
-    xs = np.linspace(-1.0, a, 1001)
-    vals = np.real(np.asarray(fn(xs)))
-    i = int(np.argmax(np.abs(vals) > 0.999 * np.max(np.abs(vals)))) if np.max(np.abs(vals)) > 0 else 0
-    if vals[i] < 0:
-        fn = Eigenfunction1D(lam, tuple((x0, x1, s, -u0, -du0) for x0, x1, s, u0, du0 in fn.segments))
-    return fn
+    return BranchedSpectrum(_limit_eigenfunctions(geom, bc, S1, 0),
+                            _limit_eigenfunctions(geom, bc, [s * s for s in rep.roots], 1),
+                            cert)
 
 
 @dataclass(frozen=True)
@@ -535,7 +515,7 @@ def bloch_limit_curve(a: float, k_grid: Sequence[float], lam_max: float) -> list
     for k in k_grid:
         cf = CharacteristicFunction("bloch", a, k=k)
         rep = _roots.scan_roots(lambda s: eval_char(cf, s * s), 1e-9, np.sqrt(lam_max),
-                                step=spacing / (2 * SCAN_OVERSAMPLE), cluster_tol=CLUSTER_TOL)
+                                step=spacing / (2 * SCAN_OVERSAMPLE))
         for n, s in enumerate(rep.roots, start=1):
             points.append(DispersionPoint(float(k), n, s * s, 0.0))
     return points

@@ -57,7 +57,6 @@ __all__ = [
 TOL_FLUX = 1e-6         # base zero-flux filter tolerance (scaled)
 TOL_TRACE = 1e-6        # mass share on the inclusions below which c = 0
 CLUSTER_TOL = 1e-6      # eigenvalue cluster / collision reporting width
-LAM_FLOOR = 1e-8        # zero_flux_branch keeps clusters above it only
 
 
 class ResonanceError(ValueError):
@@ -339,8 +338,6 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
     pairs, excluded = [], []
     for i, j in _cluster_bounds(w):
         lam = float(np.mean(w[i:j]))
-        if lam <= LAM_FLOOR:
-            continue
         V = v[:, i:j]
         F = np.column_stack([ext.interface_flux(zero_trace, V[:, d])
                              for d in range(j - i)])

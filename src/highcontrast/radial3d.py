@@ -62,10 +62,11 @@ def _sphere_poles(a: float, lam_max: float) -> list[float]:
     return poles
 
 
-def _sphere_eigenfunction(a: float, lam: float, n_samples: int = 2001) -> RadialField:
-    """Closed-form limit eigenfunction: 1 inside, sine ratio over r outside."""
+def _sphere_eigenfunction(a: float, lam: float) -> RadialField:
+    """Closed-form limit eigenfunction on 2001 radii: 1 inside, sine ratio
+    over r outside."""
     s = np.sqrt(lam)
-    r = np.linspace(0.0, 1.0, n_samples)
+    r = np.linspace(0.0, 1.0, 2001)
     u = np.ones_like(r)
     out = r >= a
     denom = np.sin(s * (1.0 - a))

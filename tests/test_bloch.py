@@ -25,7 +25,7 @@ def test_real_multiplier_rejected_by_the_transfer_scan():
     for bad in (0.0, np.pi / 2, np.pi):
         with pytest.raises(GeometryError):
             bloch.dispersion_sweep(cell_medium(), [0.3, bad], 2, [1e-2])
-    # the closed form of the symmetric cell at eps = 0 would drop lambda = 0
+    # the transfer scan of the symmetric cell at eps = 0 would drop lambda = 0
     with pytest.raises(GeometryError):
         bloch.dispersion_sweep(cell_medium(), [0.7, 0.0], 3, [0.0])
     bands = bloch.dispersion_sweep(cell_medium(), [1.0, 2.0, 1.0005], 2, [1e-2])
@@ -116,6 +116,15 @@ def window_row(geom, k, count, n=None):
     """The first ``count`` eigenvalues of a fresh limit spectrum at k on the
     window 16 (count + 1)^2."""
     return limitspec.limit_spectrum(at_k(geom, k), 16.0 * (count + 1) ** 2, n).eigenvalues[:count]
+
+
+@pytest.mark.parametrize("geom, n", [(Geometry1D(-0.5, 0.5, ((-0.25, 0.25),)), 1000),
+                                     (Geometry1D(-2.0, 2.0, ((-0.5, 0.5),)), 4000)])
+def test_limit_rows_of_symmetric_cells_of_any_length(geom, n):
+    # the eps = 0 row of a symmetric cell is a transfer scan with a rigid
+    # inclusion, not a closed form stated on the cell (-1, 1)
+    row = bloch.dispersion_sweep(at_k(geom, 0.3), [0.3], 3, [0.0]).branches[0.0][0]
+    assert np.allclose(row, window_row(geom, 0.3, 3, n), rtol=1e-4, atol=0)
 
 
 @pytest.mark.parametrize("geom, n, k", [

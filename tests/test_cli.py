@@ -9,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from highcontrast import cli, dtn
+from highcontrast import cli, dtn, exact1d
+from highcontrast.geometry import medium_from_config
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -61,6 +62,80 @@ def test_limit_writes_grid_and_exact_tables(tmp_path):
     assert len(grid_lams) == len(ref_lams)
     for g, r in zip(grid_lams, ref_lams):
         assert g == pytest.approx(r, rel=1e-4)
+
+
+#: 1D media outside the closed forms (one inclusion on (-1, 1)); their
+#: limit reference is the transfer spectrum at eps = 0
+UNCOVERED = [
+    {"dim": 1, "domain": [-1.0, 1.0], "inclusions": [[-0.8, -0.4], [0.1, 0.5]],
+     "h": 0.002, "epsilon": 1e-2, "bc": "dirichlet"},
+    {"dim": 1, "domain": [0.0, 2.0], "inclusions": [[0.5, 1.5]],
+     "h": 0.002, "epsilon": 1e-2, "bc": "neumann"},
+]
+
+
+@pytest.mark.parametrize("medium", UNCOVERED)
+def test_limit_without_closed_form_writes_the_grid_table(tmp_path, medium):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": {**medium, "epsilon": 0.0},
+                                         "lambda_max": 60.0})
+    out = tmp_path / "out"
+    assert cli.main(["limit", "--config", cfg, "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"limit.csv"}
+    lines = (out / "limit.csv").read_text().splitlines()
+    grid = sorted(float(l.split(",")[1]) for l in lines[1:])
+    med = medium_from_config(medium)
+    ref = exact1d.transfer_spectrum_1d(med.geometry, 0.0, med.bc, 60.0).eigenvalues
+    assert len(grid) == len(ref) >= 2
+    assert np.allclose(grid, ref, rtol=1e-4, atol=0)
+
+
+@pytest.mark.parametrize("medium", UNCOVERED)
+def test_converge_without_closed_form_passes(tmp_path, medium):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": medium, "count": 3,
+                                         "eps_list": [1e-1, 1e-2, 1e-3, 1e-4]})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "converge.json").read_text())
+    assert report["passed"] and all("limit" in b for b in report["branches"])
+
+
+@pytest.mark.parametrize("medium", UNCOVERED)
+def test_validate_without_closed_form_passes(tmp_path, medium):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": medium})
+    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "validate.json").read_text())
+    result = {c["name"]: c for c in verdict["criteria"]}
+    assert verdict["passed"] and result["limit_matches_exact"]["passed"]
+
+
+RADIAL = {"dim": "radial", "inclusions": [0.5], "h": 0.002, "epsilon": 1e-2,
+          "bc": "dirichlet"}
+FIRST_SPHERE = 10.710706579361926
+
+
+def test_spectrum_radial(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": RADIAL, "count": 2})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert float(lines[1].split(",")[1]) == pytest.approx(FIRST_SPHERE, rel=1e-3)
+
+
+def test_converge_radial_passes_against_sphere_limit(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": RADIAL, "count": 2,
+                                         "eps_list": [1e-1, 1e-2, 1e-3, 1e-4]})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "converge.json").read_text())
+    assert report["passed"]
+    assert all(b["passed"] and not b["divergent"] for b in report["branches"])
+    assert report["branches"][0]["limit"] == pytest.approx(FIRST_SPHERE, abs=1e-9)
+
+
+def test_validate_radial_checks_the_sphere_limit(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"medium": RADIAL})
+    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "validate.json").read_text())
+    assert verdict["passed"]
+    assert [c["name"] for c in verdict["criteria"]] == ["sphere_limit"]
 
 
 def test_limit_radial(tmp_path):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from highcontrast import _roots, exact1d
-from highcontrast.geometry import BoundaryKind, Geometry1D
+from highcontrast import _roots, exact1d, limitspec
+from highcontrast.geometry import BoundaryKind, ContrastMedium, Geometry1D
 
 SYM = Geometry1D(-1.0, 1.0, ((-0.5, 0.5),))
 
@@ -219,3 +219,53 @@ def test_batched_eigenfunctions_match_one_at_a_time(geom, bc):
         got = np.array([seg[3:] for seg in fn.segments])
         expect = _one_eigenfunction(geom, 1e-2, bc, lam)
         assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+LIMIT_CELLS = [Geometry1D(-1.0, 1.0, (inc,)) for inc in [(-0.5, 0.5), (-0.6, 0.2), (-0.25, 0.75)]]
+WALLS = [BoundaryKind.dirichlet(), BoundaryKind.neumann()]
+
+
+def _interface_fluxes(fn):
+    """(u'(a-), u'(b+), inclusion constant) of a limit eigenfunction, read
+    off its segment coefficients (exterior sigma = 1)."""
+    (x0, x1, _s, u0, du0), (_, _, _, c, _), (_, _, _, _, du_right) = fn.segments
+    kappa, length = np.sqrt(fn.lam), x1 - x0
+    return -u0 * kappa * np.sin(kappa * length) + du0 * np.cos(kappa * length), du_right, c
+
+
+@pytest.mark.parametrize("bc", WALLS)
+@pytest.mark.parametrize("geom", LIMIT_CELLS)
+def test_limit_eigenfunctions_satisfy_the_interface_condition(geom, bc):
+    # the rigid inclusion takes the flux jump u'(b+) - u'(a-) = -lambda |I| c;
+    # on S1 c = 0, so the two fluxes balance ((-0.25, 0.75) under Neumann has
+    # an S1 value at 4 pi^2)
+    spec = exact1d.limit_spectrum_1d(geom, bc, 300.0)
+    (a, b), = geom.inclusions
+    assert len(spec.S2) >= 3
+    for lam, fn in spec.S1:
+        assert abs(_interface_fluxes(fn)[2]) < 1e-12
+    for lam, fn in spec.S1 + spec.S2:
+        left, right, c = _interface_fluxes(fn)
+        jump = -lam * (b - a) * c
+        assert abs(right - left - jump) <= 1e-8 * max(abs(left), abs(right), abs(jump))
+
+
+@pytest.mark.parametrize("bc", WALLS)
+@pytest.mark.parametrize("geom", LIMIT_CELLS)
+def test_transfer_spectrum_at_eps_zero_is_the_closed_form_limit(geom, bc):
+    closed = exact1d.limit_spectrum_1d(geom, bc, 300.0).all_eigenvalues
+    got = exact1d.transfer_spectrum_1d(geom, 0.0, bc, 300.0).eigenvalues
+    assert len(got) == len(closed)
+    assert np.allclose(got, closed, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bc", WALLS)
+def test_transfer_spectrum_at_eps_zero_matches_the_pencil_on_three_inclusions(bc):
+    geom = Geometry1D(-1.0, 1.0, ((-0.8, -0.6), (-0.2, 0.1), (0.4, 0.7)))
+    got = exact1d.transfer_spectrum_1d(geom, 0.0, bc, 300.0)
+    pencil = limitspec.limit_spectrum(ContrastMedium(geom, 0.0, bc), 300.0, 4000).eigenvalues
+    assert len(got.eigenvalues) == len(pencil) >= 6
+    assert np.allclose(got.eigenvalues, pencil, rtol=1e-4, atol=0)
+    for fn in got.eigenfunctions:               # constant on every inclusion
+        for a, b in geom.inclusions:
+            assert abs(fn(b) - fn(a)) < 1e-12
