@@ -10,7 +10,11 @@ Every grid and pencil row is one count-mode call of
 ``fdm.shift_invert_eigenpairs`` for exactly the branches kept; nothing is
 filtered by value.  Where every wrap face has phase 1 (Gamma), the
 constant is a Bloch mode, so band 1 is lambda = 0 there.  The exact 1D
-rows reject a real multiplier instead.
+rows reject a real multiplier instead.  On a cell that the point
+reflection J through its centre maps onto itself, the Hermitian grid
+operator and pencil satisfy J A J = conj(A), so each row solves their real
+symmetric form (``fdm.real_form``), with a real factorization and real
+Lanczos in place of complex ones and the same eigenvalues.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def dispersion_sweep(medium: ContrastMedium, k_grid, branch_count: int,
                 if pencil is None:
                     pencil = limitspec._BlochPencil(
                         ContrastMedium(geom, 0.0, BoundaryKind.bloch(float(ks[0]))), n)
-                row = fdm.shift_invert_eigenpairs(pencil.at(float(k)), pencil.mass,
+                row = fdm.shift_invert_eigenpairs(pencil.operator(float(k)), pencil.mass,
                                                   branch_count)[0]
             elif isinstance(geom, Geometry1D):
                 row = _spectrum_1d(geom, float(eps), float(k), branch_count)

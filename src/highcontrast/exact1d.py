@@ -221,18 +221,16 @@ class Eigenfunction1D:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = _piecewise_values(self.lam, self.segments, x.ravel()).reshape(x.shape)
-        res = out if np.iscomplexobj(np.array([s[3] for s in self.segments])) else out.real
-        if res.ndim == 0:
-            return res[()]
-        return res
+        return out[()] if out.ndim == 0 else out
 
 
 def _piecewise_values(lam, segments, x: np.ndarray) -> np.ndarray:
     """Values at the points x (1D) of piecewise trigonometric functions with
-    per-segment (x0, x1, sigma, u0, du0), complex; with ``lam``, ``u0`` and
-    ``du0`` arrays over lambda, one row per lambda."""
+    per-segment (x0, x1, sigma, u0, du0), complex when a coefficient is;
+    with ``lam``, ``u0`` and ``du0`` arrays over lambda, one row per lambda."""
     lam = np.asarray(lam, dtype=float)[..., None]
-    out = np.zeros(lam.shape[:-1] + x.shape, dtype=complex)
+    dtype = np.result_type(float, *(np.asarray(c) for seg in segments for c in seg[3:]))
+    out = np.zeros(lam.shape[:-1] + x.shape, dtype=dtype)
     filled = np.zeros(x.shape, dtype=bool)
     for x0, x1, sigma, u0, du0 in segments:
         sel = (~filled) & (x >= x0 - 1e-14) & (x <= x1 + 1e-14)
@@ -250,8 +248,10 @@ def _piecewise_values(lam, segments, x: np.ndarray) -> np.ndarray:
 def _eigenfunctions(geom: Geometry1D, eps: float, lams: np.ndarray,
                     states: np.ndarray) -> tuple[Eigenfunction1D, ...]:
     """Eigenfunctions from their start states (u, sigma*u') at x_lo, one row
-    per lambda, each divided by its sample of largest modulus on 2001 points."""
-    state = np.asarray(states, dtype=complex)
+    per lambda, each divided by its sample of largest modulus on 2001 points.
+    Real start states (Dirichlet, Neumann) give real coefficients, complex
+    ones (Bloch) complex coefficients."""
+    state = np.asarray(states)
     segs = []
     for x0, x1, sigma in _segments(geom, eps):
         segs.append((x0, x1, sigma, state[:, 0], state[:, 1] / sigma))
@@ -431,10 +431,9 @@ def _limit_eigenfunctions(geom: Geometry1D, bc: BoundaryKind, lams: list[float],
     lams = np.array(lams, dtype=float)
     pairs = []
     for fn in _eigenfunctions(geom, 0.0, lams, _start_states(geom, 0.0, bc, lams)):
-        sign = np.sign((fn.segments[seg][3] + fn.segments[seg][4]).real)
+        sign = np.sign(fn.segments[seg][3] + fn.segments[seg][4])
         pairs.append((fn.lam, Eigenfunction1D(fn.lam, tuple(
-            (x0, x1, s, sign * u0.real, sign * du0.real)
-            for x0, x1, s, u0, du0 in fn.segments))))
+            (x0, x1, s, sign * u0, sign * du0) for x0, x1, s, u0, du0 in fn.segments))))
     return tuple(pairs)
 
 

@@ -21,9 +21,11 @@ with the grid reflections, so ``smallest_eigenpairs`` solves it one
 reflection sector at a time (even or odd in x, times even or odd in y)
 and merges the unfolded vectors: up to four quarter-size solves, three
 when a square grid's mask is also transpose-symmetric, since the two
-odd-by-even sectors are then each other's transpose.  A window (every
-eigenvalue up to lam_max, ``eigenpairs_below``) is sized by Sylvester's
-law of inertia, and the solve must agree with that count.
+odd-by-even sectors are then each other's transpose.  A Bloch grid that
+the point reflection of the cell maps onto itself is solved as a real
+symmetric matrix (``real_form``).  A window (every eigenvalue up to
+lam_max, ``eigenpairs_below``) is sized by Sylvester's law of inertia, and
+the solve must agree with that count.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ __all__ = [
     "smallest_eigenpairs",
     "eigenpairs_below",
     "face_phase",
+    "label_reflection",
+    "real_form",
     "solve",
     "flux_on_interface",
 ]
@@ -60,6 +64,7 @@ ZERO_MODE_TOL = 1e-4    # |lam_0| / lam_1 of a dropped Neumann constant mode
 TOL_SOLVE = 1e-10
 MAX_EIG_ITER = 500
 ALIGN_TOL = 1e-9
+PHASE_ONE_TOL = 1e-12   # |phase - 1| of a wrap face counted as phase 1 by ``solve``
 
 
 class SolvabilityError(ValueError):
@@ -430,18 +435,45 @@ def _axis_fold(n: int, sign: int):
     return np.minimum(c, mirror), weight, (n + 1) // 2 if sign > 0 else n // 2
 
 
-def _reflection_sectors(opr: DiscreteOperator, k: int):
-    """The operator of each reflection sector of a mirror-symmetric 2D grid,
-    as (Q, Q^T K Q) with Q the sparse grid-by-sector matrix of orthonormal
-    columns; [(None, K)] for one sector.  A sector listed as (Q, None) has
-    the operator of the sector before it.
+def label_reflection(labels: np.ndarray):
+    """The permutation pi of the region labels under the point reflection J
+    of the cell through its centre (flat cell index c -> n-1-c, in 1D and in
+    2D), or None: labels[J c] = pi[labels[c]] on every cell and pi[0] = 0.
+    The test is exact, like the mirror sectors' (``np.array_equal``)."""
+    pi = np.zeros(labels.max() + 1, dtype=labels.dtype)
+    pi[labels] = labels[::-1]
+    return pi if pi[0] == 0 and np.array_equal(pi[labels], labels[::-1]) else None
 
-    An axis is split when the inclusion mask equals its own flip along it and
-    the closure is Dirichlet or Neumann: the operator is built from that
-    mask, the faces and the closure alone, so it commutes with the
-    reflection.  A Bloch closure (the reflection maps k to -k), a 1D grid
-    (its solves are O(n)) and a sector with no more unknowns than ARPACK's
-    Krylov space max(2k + 1, 20) keep one sector.
+
+def real_form(A: sp.spmatrix, J: np.ndarray) -> sp.csr_matrix:
+    """Re A + (Im A) P_J, P_J the permutation matrix of the involution J:
+    for a Hermitian A with J A J = conj(A), this is W^H A W with the unitary
+    W = ((1+i) I + (1-i) P_J) / 2, real and symmetric.  Eigenvectors y of it
+    give x = W y of A, and W keeps any diagonal mass that J keeps."""
+    A = A.tocoo()
+    im = np.flatnonzero(A.data.imag)
+    rows = np.concatenate([A.row, A.row[im]])
+    cols = np.concatenate([A.col, J[A.col[im]]])
+    return sp.csr_matrix((np.concatenate([A.data.real, A.data.imag[im]]), (rows, cols)),
+                         shape=A.shape)
+
+
+def _reflection_sectors(opr: DiscreteOperator, k: int):
+    """The operator of each reflection sector of a grid, as (Q, Q^H K Q) with
+    Q the sparse grid-by-sector matrix of orthonormal columns; [(None, K)]
+    for one sector.  A sector listed as (Q, None) has the operator of the
+    sector before it.
+
+    A Bloch grid whose labels the point reflection J maps onto themselves
+    (``label_reflection``) is one real sector (W, ``real_form(K, J)``): J
+    maps interior faces to faces of the same conductance and each wrap face
+    to one of the conjugate phase, so J K J = conj(K) entry for entry.
+
+    Under a Dirichlet or Neumann closure, an axis of a 2D grid is split when
+    the inclusion mask equals its own flip along it: the operator is built
+    from that mask, the faces and the closure alone, so it commutes with the
+    reflection.  A 1D grid (its solves are O(n)) and a sector with no more
+    unknowns than ARPACK's Krylov space max(2k + 1, 20) keep one sector.
 
     Since K commutes with the reflections, Q^T K Q is the rows of K at the
     representative cells, times Q, times the square root of each orbit size.
@@ -453,6 +485,12 @@ def _reflection_sectors(opr: DiscreteOperator, k: int):
     with Q of the (even x, odd y) sector: three solves, not four.
     """
     grid, K = opr.grid, opr.K
+    if opr.bc.kind == "bloch" and label_reflection(grid.labels) is not None:
+        cells = np.arange(grid.ncells)
+        J = cells[::-1]
+        W = sp.csr_matrix((np.repeat([0.5 + 0.5j, 0.5 - 0.5j], cells.size),
+                           (np.tile(cells, 2), np.concatenate([cells, J]))), shape=K.shape)
+        return [(W, real_form(K, J))]
     if grid.dim != 2 or opr.bc.kind not in ("dirichlet", "neumann"):
         return [(None, K)]
     mask = grid.labels.reshape(grid.shape) > 0
@@ -496,9 +534,10 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     resolve it, and each sector factors a quarter-size matrix.  That is up
     to four solves, three when the mask is also transpose-symmetric on a
     square grid: the two odd-by-even sectors are each other's transpose, so
-    one solve gives both.  Other grids are one sector.  The eigenvalues are
-    the Rayleigh quotients of the solver: the quotient on a sector is the
-    quotient on the full grid.
+    one solve gives both.  An inversion-symmetric Bloch grid is one real
+    sector.  Other grids are one sector.  Unfolded pairs pass the residual
+    gate again on the full grid.  The eigenvalues are the Rayleigh quotients
+    of the solver: the quotient on a sector is the quotient on the full grid.
     """
     if not 1 <= count < opr.dimension - 1:
         raise ValueError("count must be >= 1 and small relative to the dimension")
@@ -515,7 +554,7 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     w = np.concatenate(lams)
     order = np.argsort(w)[:k_ask]
     w, v = w[order], np.hstack(vecs)[:, order]
-    if len(sectors) > 1:        # the gate's scale is that of the full operator
+    if sectors[0][0] is not None:       # the gate's scale is that of the full operator
         res = _residuals(opr.K, np.full(n, np.sqrt(vol)), v * np.sqrt(vol), w)
     meta = {"constant_mode_lambda": float(w[0])} if neumann else {}
     if neumann:
@@ -553,19 +592,23 @@ def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
 
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    """Solution of the discrete source problem; mean-zero representative under Neumann."""
+    """Solution of the discrete source problem.  Where the constants span the
+    kernel (Neumann, or Bloch with every wrap-face phase 1 to ``PHASE_ONE_TOL``)
+    the source must have zero mesh mean; the mean-zero solution is returned."""
     f = np.asarray(f)
     vol = opr.grid.cell_volume
-    rhs = vol * f
-    if opr.bc.kind == "neumann":
+    rhs = (vol * f).astype(opr.K.dtype)
+    # every face of a Neumann grid has phase 1
+    if opr.bc.kind != "dirichlet" and np.max(np.abs(opr.grid.faces.phase - 1)) <= PHASE_ONE_TOL:
         mean = abs(np.sum(f)) / f.size
         if mean > 1e-12 * max(1.0, np.max(np.abs(f))):
-            raise SolvabilityError("Neumann source must have zero mesh mean")
+            raise SolvabilityError("source must have zero mesh mean: "
+                                   "the constants span the kernel")
         # ground one cell of the consistent singular system, then shift
         u = np.append(factor(opr.K[:-1, :-1]).solve(rhs[:-1]), 0.0)
         u = u - np.mean(u)
     else:
-        u = factor(opr.K).solve(rhs.astype(opr.K.dtype))
+        u = factor(opr.K).solve(rhs)
     resid = np.linalg.norm(opr.K @ u - rhs)
     scale = max(np.linalg.norm(rhs), abs(opr.K).max() * np.linalg.norm(u), 1e-300)
     if resid > TOL_SOLVE * scale:

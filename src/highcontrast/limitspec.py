@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from ._roots import POLE_MARGIN
 from .dtn import _unit_conductance, _unit_stiffness_blocks
 from .fdm import (build_grid, check_constant_mode, count_below, eigenpairs_below,
-                  face_phase, factor)
+                  face_phase, factor, label_reflection, real_form)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -372,12 +372,20 @@ class _BlochPencil:
     puts -g conj(p) and -g p on two off-diagonal pencil entries, g the unit
     face conductance; :meth:`at` rewrites the entries of the faces whose
     phase differs from the build's.
+
+    ``J`` is the point reflection of an inversion-symmetric cell
+    (``fdm.label_reflection``) on the pencil indices, else None: it reverses
+    the exterior cells (``idx_out`` is sorted) and maps each inclusion
+    constant to that of its image.  Then J A J = conj(A) and J keeps the mass.
     """
 
     def __init__(self, medium: ContrastMedium, n: int = None):
         self.ext = build_exterior(medium, n)
         self.A, self.mass = self.ext.pencil()
         self.g = _unit_conductance(self.ext.grid)
+        pi = label_reflection(self.ext.grid.labels)
+        nE = self.ext.K_EE.shape[0]
+        self.J = None if pi is None else np.concatenate([np.arange(nE)[::-1], nE - 1 + pi[1:]])
 
     def at(self, k) -> sp.csc_matrix:
         """The pencil matrix A at Bloch number k (the mass does not change)."""
@@ -391,6 +399,12 @@ class _BlochPencil:
         A[a, b] = -self.g * np.conj(phase[f])       # stored entries: written in place
         A[b, a] = -self.g * phase[f]
         return A
+
+    def operator(self, k) -> sp.spmatrix:
+        """The matrix solved at Bloch number k: ``fdm.real_form`` of :meth:`at`
+        when ``J`` is set (the same eigenvalues), else :meth:`at` itself."""
+        A = self.at(k)
+        return A if self.J is None else real_form(A, self.J)
 
 
 def _pencil_source(ext: ExteriorSystem, f: np.ndarray) -> np.ndarray:

@@ -232,3 +232,35 @@ def test_a_sweep_through_gamma_keeps_band_one_and_the_gaps(eps):
     gaps = bloch.gap_report(through, eps)
     assert len(gaps) == 1
     assert np.allclose(gaps, bloch.gap_report(stepped, eps), rtol=1e-10, atol=0)
+
+
+CORNER_CELL = Geometry2D(1.0, 1.0, 1 / 32, rectangles_to_mask(
+    1.0, 1.0, 1 / 32, [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625) for y in (0.125, 0.625)]))
+MIRROR_PAIR = Geometry1D(-1.0, 1.0, ((-0.6, -0.2), (0.2, 0.6)))
+
+
+@pytest.mark.parametrize("geom, n, ks, images", [
+    (SQUARE, None, [0.7, (0.3, -1.1), 0.0, (np.pi, np.pi)], [1]),
+    (CORNER_CELL, None, [0.7, (0.3, -1.1), 0.0, (np.pi, np.pi)], [4, 3, 2, 1]),
+    (MIRROR_PAIR, 400, [0.7, -1.1, 0.0, np.pi], [2, 1])])
+def test_inversion_symmetric_pencils_are_solved_in_real_form(geom, n, ks, images):
+    # J reverses the exterior cells and maps each inclusion constant to that
+    # of its image inclusion
+    pencil = limitspec._BlochPencil(at_k(geom, 0.5), n)
+    J, mass = pencil.J, pencil.mass
+    nE = pencil.ext.K_EE.shape[0]
+    assert np.array_equal(J, np.concatenate([np.arange(nE)[::-1], nE - 1 + np.array(images)]))
+    assert np.array_equal(mass[J], mass)
+    for k in ks:
+        A = pencil.at(k)
+        assert (A[J][:, J] != A.conj()).nnz == 0
+        S = pencil.operator(k)
+        assert S.dtype == float and (S != S.T).nnz == 0
+        w = fdm.shift_invert_eigenpairs(S, mass, 4)[0]
+        c = fdm.shift_invert_eigenpairs(A, mass, 4)[0]
+        assert np.abs(w - c).max() <= 1e-12 * c.max()
+
+
+def test_an_asymmetric_pencil_stays_complex():
+    pencil = limitspec._BlochPencil(at_k(ASYM, 0.5), 200)
+    assert pencil.J is None and pencil.operator(0.7).dtype == complex

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from highcontrast import cli, dtn, exact1d
+from highcontrast import cli, dtn, exact1d, fdm
 from highcontrast.geometry import medium_from_config
 
 
@@ -118,6 +118,22 @@ def test_spectrum_radial(tmp_path):
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert len(lines) == 3
     assert float(lines[1].split(",")[1]) == pytest.approx(FIRST_SPHERE, rel=1e-3)
+
+
+@pytest.mark.parametrize("rects, k", [([[0.25, 0.75, 0.25, 0.75]], [0.3, -1.1]),
+                                      ([[0.25, 0.5, 0.25, 0.625]], 0.7)])
+def test_spectrum_on_a_2d_bloch_medium(tmp_path, rects, k):
+    # the centred square is solved in its real form, the off-centre
+    # rectangle as the complex operator; both against a dense eigvalsh
+    medium = {"dim": 2, "domain": [1.0, 1.0], "inclusions": rects, "h": 1 / 16,
+              "epsilon": 0.1, "bc": {"bloch": k}}
+    cfg = write_cfg(tmp_path, "c.json", {"medium": medium, "count": 4})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "spectrum.csv").read_text().splitlines()[1:]]
+    opr = fdm.assemble(medium_from_config(medium))
+    ref = np.linalg.eigvalsh(opr.K.toarray())[:4] / opr.grid.cell_volume
+    assert np.allclose([float(r[1]) for r in rows], ref, rtol=1e-10, atol=0)
+    assert max(float(r[2]) for r in rows) < 1e-8
 
 
 def test_converge_radial_passes_against_sphere_limit(tmp_path):

@@ -221,6 +221,17 @@ def test_batched_eigenfunctions_match_one_at_a_time(geom, bc):
         assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("bc, dtype", [(BoundaryKind.dirichlet(), np.float64),
+                                       (BoundaryKind.neumann(), np.float64),
+                                       (BoundaryKind.bloch(0.9), np.complex128)])
+@pytest.mark.parametrize("eps", [1e-2, 0.0])
+def test_eigenfunctions_are_complex_only_under_bloch(bc, dtype, eps):
+    xs = np.linspace(-1.0, 1.0, 7)
+    for fn in exact1d.transfer_spectrum_1d(SYM, eps, bc, 100.0).eigenfunctions:
+        assert {np.asarray(c).dtype for seg in fn.segments for c in seg[3:]} == {np.dtype(dtype)}
+        assert fn(xs).dtype == dtype and np.asarray(fn(0.3)).dtype == dtype
+
+
 LIMIT_CELLS = [Geometry1D(-1.0, 1.0, (inc,)) for inc in [(-0.5, 0.5), (-0.6, 0.2), (-0.25, 0.75)]]
 WALLS = [BoundaryKind.dirichlet(), BoundaryKind.neumann()]
 

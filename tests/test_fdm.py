@@ -329,6 +329,20 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solved_dtypes(solves, monkeypatch):
+    """The dtype of the matrix of each counted solve."""
+    dtypes = []
+    inner = fdm.shift_invert_eigenpairs
+
+    def typed(*args, **kwargs):
+        dtypes.append(args[0].dtype)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fdm, "shift_invert_eigenpairs", typed)
+    return dtypes
+
+
 class TestReflectionSectors:
     """Mirror-symmetric 2D grids are solved one reflection sector at a time."""
 
@@ -351,11 +365,17 @@ class TestReflectionSectors:
 
     @pytest.mark.parametrize("med", [
         med2d(1e-2, h=1 / 32, rects=((0.25, 0.5, 0.25, 0.625),)),
-        med2d(1e-2, h=1 / 32, bc=BoundaryKind.bloch(0.4))])
-    def test_asymmetric_mask_and_bloch_closure_run_one_sector(self, med, solves):
+        med2d(1e-2, h=1 / 32, bc=BoundaryKind.bloch(0.4)),
+        med2d(1e-2, h=1 / 32, bc=BoundaryKind.bloch(0.4), rects=((0.25, 0.5, 0.25, 0.625),))])
+    def test_asymmetric_mask_and_bloch_closure_run_one_sector(self, med, solves, solved_dtypes):
         opr = fdm.assemble(med)
         fdm.smallest_eigenpairs(opr, 4)
         assert solves == [opr.dimension]
+        # under Bloch the centred square is solved in its real form, the
+        # off-centre rectangle as the complex operator itself
+        mask = med.geometry.mask
+        centred = np.array_equal(mask, mask[::-1, ::-1])
+        assert solved_dtypes == [complex if med.bc.kind == "bloch" and not centred else float]
 
     def test_each_copy_of_a_double_comes_from_its_own_sector(self):
         opr = fdm.assemble(med2d(1e-3, h=1 / 64))
@@ -390,6 +410,51 @@ class TestReflectionSectors:
         assert abs(K[P][:, P] - K).max() == 0
 
 
+# inversion-symmetric Bloch cells: the 1D cell with two mirror-image
+# inclusions, the centred square and the four corners (whose labels the
+# point reflection permutes)
+INVERSION_CASES = [(ContrastMedium(TWO, 1e-1, BoundaryKind.bloch(k)), 200)
+                   for k in (0.7, -1.1, 0.0, np.pi)] + [
+    (med2d(1e-1, h=1 / 32, bc=BoundaryKind.bloch(k), rects=rects), None)
+    for rects in (((0.25, 0.75, 0.25, 0.75),), CORNERS)
+    for k in (0.7, (0.3, -1.1), 0.0, (np.pi, np.pi))]
+
+
+class TestPointReflection:
+    """Bloch grids that the point reflection J maps onto themselves are
+    solved as the real symmetric form of their Hermitian operator."""
+
+    @pytest.mark.parametrize("med, n", INVERSION_CASES)
+    def test_reflection_conjugates_the_operator_exactly(self, med, n):
+        K = fdm.assemble(med, n).K
+        J = np.arange(K.shape[0])[::-1]
+        assert fdm.label_reflection(fdm.build_grid(med, n).labels) is not None
+        assert (K[J][:, J] != K.conj()).nnz == 0
+        S = fdm.real_form(K, J)
+        assert S.dtype == float and (S != S.T).nnz == 0
+        # S is W^H K W for the unitary W = ((1+i) I + (1-i) P_J) / 2
+        W = ((1 + 1j) * np.eye(K.shape[0]) + (1 - 1j) * np.eye(K.shape[0])[J]) / 2
+        assert np.allclose(W.conj().T @ W, np.eye(K.shape[0]), atol=1e-15)
+        assert np.abs(W.conj().T @ K.toarray() @ W - S.toarray()).max() <= 1e-14 * abs(K).max()
+
+    @pytest.mark.parametrize("med, n", INVERSION_CASES)
+    def test_real_form_pairs_match_the_dense_and_complex_solves(self, med, n, solved_dtypes):
+        opr = fdm.assemble(med, n)
+        vol, K = opr.grid.cell_volume, opr.K
+        res = fdm.smallest_eigenpairs(opr, 6)
+        assert solved_dtypes == [float]
+        w, V = res.eigenvalues, res.eigenvectors
+        ref = sla.eigvalsh(K.toarray())[:6] / vol
+        scale = ref.max()
+        assert np.allclose(w, ref, rtol=1e-10, atol=1e-10 * scale)
+        assert np.allclose(V.conj().T @ V * vol, np.eye(6), atol=1e-10)
+        r = np.linalg.norm(K @ V - vol * V * w, axis=0)
+        assert r.max() <= 1e-12 * abs(K).max() * np.linalg.norm(V, axis=0).max()
+        # the complex solve of the same operator, which the real form replaces
+        c = fdm.shift_invert_eigenpairs(K, np.full(opr.dimension, vol), 6)[0]
+        assert np.abs(w - c).max() <= 1e-12 * scale
+
+
 class TestSolve:
     def test_manufactured_uniform_solution(self):
         # -u'' = pi^2/4 sin(pi(x+1)/2) has solution sin(pi(x+1)/2) on (-1,1)
@@ -409,6 +474,23 @@ class TestSolve:
         f = np.where(opr.grid.labels > 0, 1.0, -1.0)
         u = fdm.solve(opr, f)
         assert abs(np.mean(u)) < 1e-12
+
+    @pytest.mark.parametrize("med, n", [(med1d(1e-2, BoundaryKind.bloch(0.0)), 200),
+                                        (med1d(1e-2, BoundaryKind.bloch(np.pi)), 200),
+                                        (med2d(1e-2, bc=BoundaryKind.bloch((0.0, 2 * np.pi))),
+                                         None)])
+    def test_bloch_at_phase_one_follows_the_neumann_rule(self, med, n):
+        # k L in 2 pi Z: the constants are in the kernel, as under Neumann
+        opr = fdm.assemble(med, n)
+        with pytest.raises(fdm.SolvabilityError):
+            fdm.solve(opr, np.ones(opr.dimension))
+        f = np.where(opr.grid.labels > 0, 1.0, -1.0)
+        f = f - np.mean(f)
+        u = fdm.solve(opr, f)
+        assert abs(np.mean(u)) < 1e-12
+        assert np.linalg.norm(opr.K @ u - opr.grid.cell_volume * f) < 1e-10
+        # a field of the source's size, not the blow-up of a singular solve
+        assert np.max(np.abs(u)) < 1.0
 
 
 def test_interface_flux_conventions():
