@@ -1,12 +1,14 @@
 """Discrete Dirichlet-to-Neumann reduction onto the interface.
 
-The cell system is augmented with one dof per interface face (the trace
-value at the face center).  Half-cell conductances tie each face dof to
-its two neighboring cells; eliminating the face dofs reproduces the
-harmonic-mean matrix of :mod:`highcontrast.fdm` exactly, so the reduction
-is an algebraic identity with the direct solve, while the interior and
-exterior Schur complements give the interface flux operators with the
-contrast factored out: the interface equation reads
+The reduction views ``fdm.augmented``'s contrast-free pair (A0, A1): the
+cell system augmented with one dof per interface face (the trace value at
+the face center), whose operator at contrast eps is A0 + A1 / eps.
+Eliminating the face dofs reproduces the harmonic-mean matrix of
+``fdm.assemble``, so the reduction is an algebraic identity with the
+direct solve.  Eliminating the cells instead gives the interface flux
+operators with the contrast factored out: Nm, the Schur complement of A1's
+inclusion side on the face dofs, and Np, minus that of A0's exterior side.
+The interface equation reads
 
     (Nm - eps * Np) phi = eps * (Mp f_plus - Mm f_minus),
 
@@ -29,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs
 
-from .fdm import (DiscreteOperator, EigensolverError, Grid, build_grid, cell_sigma,
-                  face_matrix, factor)
+from .fdm import (DiscreteOperator, EigensolverError, Grid, augmented, build_grid,
+                  cell_sigma, check_solvable, factor, interface_dofs)
 from .geometry import ContrastMedium, GeometryError
 
 __all__ = [
@@ -138,83 +140,19 @@ class DtNSystem:
         return 0.5 / max(nrm, 1e-300)
 
 
-def split_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(inclusion cell indices, exterior cell indices) of a grid."""
-    labels = grid.labels
-    return np.nonzero(labels > 0)[0], np.nonzero(labels == 0)[0]
+def _schur(lu, A: sp.spmatrix, cells: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Schur complement of A's ``cells`` block on its ``dofs`` block, dense,
+    off the trailing block of one unpivoted LU.
 
-
-def interface_dofs(grid: Grid):
-    """Face-table indices of the interface faces in dof order (grouped by
-    inclusion) and their inclusion labels."""
-    incl = grid.faces.inclusion
-    sel = np.nonzero(incl > 0)[0]
-    gamma = sel[np.argsort(incl[sel], kind="stable")]
-    return gamma, incl[gamma]
-
-
-def _unit_conductance(grid: Grid) -> float:
-    """Conductance of a face between two cells at unit coefficient."""
-    return 1.0 / grid.h * grid.h**(grid.dim - 1)
-
-
-def _unit_stiffness_blocks(grid: Grid):
-    """Contrast-free stiffness blocks of the augmented (cells + face dofs) system.
-
-    Interior and exterior parts are assembled with coefficient 1; the
-    contrast enters only as the 1/eps factor multiplying the interior
-    part, which is what makes the interface equation affine in eps.  Each
-    interface face ties its two cells to its dof by half-cell conductances.
-    """
-    t = grid.faces
-    area = grid.h**(grid.dim - 1)
-    g_half = 2.0 / grid.h * area  # half-cell conductance at unit coefficient
-    g_full = _unit_conductance(grid)
-    gamma, incl_of = interface_dofs(grid)
-    idx_in, idx_out = split_cells(grid)
-    loc = np.empty(grid.ncells, dtype=int)
-    loc[idx_in] = np.arange(idx_in.size)
-    loc[idx_out] = np.arange(idx_out.size)
-    nG = gamma.size
-    plain = t.inclusion == 0
-    inside = grid.labels[t.cin] > 0
-
-    def side(n, faces, tied):
-        """Cell block of one side (its own faces plus the half-cell closures
-        onto the dofs) and its coupling to the dofs."""
-        cout = t.cout[faces]
-        K = face_matrix(n,
-                        np.concatenate([loc[t.cin[faces]], loc[tied]]),
-                        np.concatenate([np.where(cout >= 0, loc[cout], -1),
-                                        np.full(nG, -1)]),
-                        np.concatenate([np.where(cout >= 0, g_full, g_half),
-                                        np.full(nG, g_half)]),
-                        np.concatenate([t.phase[faces], np.ones(nG)]))
-        K_G = sp.csr_matrix((np.full(nG, -g_half, dtype=t.phase.dtype),
-                             (loc[tied], np.arange(nG))), shape=(n, nG))
-        return K.tocsc(), K_G
-
-    K_II, K_IG = side(idx_in.size, np.nonzero(plain & inside)[0], t.cin[gamma])
-    K_EE, K_EG = side(idx_out.size, np.nonzero(plain & ~inside)[0], t.cout[gamma])
-    return (gamma, incl_of, idx_in, idx_out,
-            K_II, K_IG, np.full(nG, g_half),
-            K_EE, K_EG, np.full(nG, g_half))
-
-
-def _schur(lu, K: sp.spmatrix, KG: sp.spmatrix, D: sp.spmatrix) -> np.ndarray:
-    """D - KG^H K^-1 KG, dense, off the trailing block of one unpivoted LU.
-
-    The cells go first in the column order of their own factor ``lu`` (so
-    the fill is that of ``lu``) and the interface dofs last.  Kept in that
-    order and unpivoted, the LU of [[K, KG], [KG^H, D]] has L22 U22 equal
-    to the Schur complement; a factor that pivoted anyway raises."""
-    q = np.argsort(lu.perm_c)
-    KGq = KG[q]
-    aug = factor(sp.bmat([[K[q][:, q], KGq], [KGq.T.conj(), D]]), permc_spec="NATURAL",
+    A is permuted to the cells in the column order of their own factor
+    ``lu`` (so the fill is that of ``lu``), then the dofs.  Kept in that
+    order and unpivoted, the LU of that principal submatrix has L22 U22
+    equal to the Schur complement; a factor that pivoted anyway raises."""
+    order = np.concatenate([cells[np.argsort(lu.perm_c)], dofs])
+    aug = factor(A[order][:, order], permc_spec="NATURAL",
                  diag_pivot_thresh=0, options={"SymmetricMode": True})
-    n = K.shape[0]
-    order = np.arange(n + KG.shape[1])
-    if not (np.array_equal(aug.perm_r, order) and np.array_equal(aug.perm_c, order)):
+    n, ident = cells.size, np.arange(order.size)
+    if not (np.array_equal(aug.perm_r, ident) and np.array_equal(aug.perm_c, ident)):
         raise EigensolverError("the Schur complement needs an unpivoted factor")
     L22, U22 = aug.L[n:, n:].toarray(), aug.U[n:, n:].toarray()
     # scipy's BLAS, whose threads the factorization has just woken: with two
@@ -229,35 +167,41 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     or Bloch at a non-integer wave vector); the Neumann pathway skips the
     constants block and lives in :mod:`highcontrast.limitspec`.
 
-    Np = -(D_out - K_EG^H K_EE^-1 K_EG) is read off one unpivoted LU of the
-    exterior augmented system (:func:`_schur`).  The interior one,
-    [[K_II, K_IG], [K_IG^H, diag(K_GG_in)]], has the per-inclusion constants
-    in its kernel, so unlifted its last pivot can be exactly zero.  It is
-    factored with diag(K_GG_in) + alpha C C^T (alpha the mean of K_GG_in),
-    which is definite, and Nm is that Schur complement minus alpha C C^T.
-    The cell factors ``in_lu`` and ``out_lu`` fix the orderings and serve
-    Mm, Mp and :func:`apply_Bhat`.
+    Each side is a principal submatrix of ``fdm.augmented``'s (A0, A1):
+    the inclusion cells and the face dofs of A1, the exterior cells and the
+    face dofs of A0.  Np = -(D_out - K_EG^H K_EE^-1 K_EG) is read off one
+    unpivoted LU of the exterior side (:func:`_schur`).  The interior side
+    has the per-inclusion constants in its kernel, so unlifted its last
+    pivot can be exactly zero.  It is factored with alpha C C^T added on
+    the face dofs (alpha the mean of their diagonal), which is definite, and
+    Nm is that Schur complement minus alpha C C^T.  The cell factors
+    ``in_lu`` and ``out_lu`` fix the orderings and serve Mm, Mp and
+    :func:`apply_Bhat`.
     """
     if medium.bc.kind == "neumann":
         raise GeometryError("Neumann outer conditions use the limit-source pathway "
                             "(limitspec.solve_limit_neumann)")
     grid = build_grid(medium, n)
-    (gamma, incl_of, idx_in, idx_out,
-     K_II, K_IG, K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(grid)
+    A0, A1 = augmented(grid)
+    gamma, incl_of = interface_dofs(grid)
+    idx_in, idx_out = np.nonzero(grid.labels > 0)[0], np.nonzero(grid.labels == 0)[0]
+    dofs = grid.ncells + np.arange(gamma.size)
+    rows_in, rows_out = A1[idx_in], A0[idx_out]
+    K_IG, K_EG = rows_in[:, dofs], rows_out[:, dofs]
 
     try:
-        in_lu = factor(K_II)
-        out_lu = factor(K_EE)
+        in_lu = factor(rows_in[:, idx_in])
+        out_lu = factor(rows_out[:, idx_out])
     except EigensolverError as exc:
         raise GeometryError(f"singular interior/exterior block: {exc}") from exc
 
     m = int(incl_of.max())
     C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
     CCt = (incl_of[:, None] == incl_of).astype(float)
-    alpha = float(np.mean(K_GG_in))
-    Nm = _schur(in_lu, K_II, K_IG,
-                sp.diags(K_GG_in) + alpha * sp.csc_matrix(CCt)) - alpha * CCt
-    Np = -_schur(out_lu, K_EE, K_EG, sp.diags(K_GG_out))
+    alpha = float(np.mean(A1.diagonal()[dofs].real))
+    spread = sp.csr_matrix((np.ones(gamma.size), (dofs, incl_of - 1)), shape=(A1.shape[0], m))
+    Nm = _schur(in_lu, A1 + alpha * (spread @ spread.T), idx_in, dofs) - alpha * CCt
+    Np = -_schur(out_lu, A0, idx_out, dofs)
 
     nG = len(gamma)
     # orthonormal basis of the per-inclusion zero-mean subspace: columns
@@ -328,14 +272,22 @@ def apply_Bhat(sys: DtNSystem, eps: float, f: np.ndarray):
     Returns ``(u, trace)`` with ``u`` on the cell grid.  For eps > 0 this
     equals the direct solve of the assembled matrix (same grid) up to
     roundoff; at eps = 0 the inclusion values are exactly the solved
-    constants.
+    constants.  Where the constants span the kernel (a Bloch closure with
+    phase 1 on every wrap face) it follows ``fdm.solve``: a source of
+    nonzero mesh mean raises ``SolvabilityError``, and the field and its
+    trace are shifted to zero mesh mean.
     """
+    f = np.asarray(f)
+    grounded = check_solvable(sys.medium.bc, sys.grid, f)
     tr = solve_block_system(sys, eps, f)
     f_in, f_out = _split_source(sys, f)
     vol = sys.grid.cell_volume
     u = np.zeros(sys.grid.ncells, dtype=sys.Nm.dtype)
     u[sys._idx_in] = sys._in_solve(eps * vol * f_in - sys._K_IG @ tr.values)
     u[sys._idx_out] = sys._out_solve(vol * f_out - sys._K_EG @ tr.values)
+    if grounded:
+        mean = np.mean(u)
+        u, tr = u - mean, TraceFunction(tr.values - mean, tr.constants - mean, tr.perp)
     return u, tr
 
 

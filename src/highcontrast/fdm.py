@@ -8,8 +8,12 @@ Dirichlet faces (half-cell distance), natural Neumann faces, and
 phase-twisted periodic wrap faces for Bloch conditions.
 
 Grids must align inclusion interfaces with cell faces; this is what makes
-the discrete interface set unambiguous and lets the Dirichlet-to-Neumann
-reduction split the matrix exactly.
+the discrete interface set unambiguous.  ``augmented`` adds one dof per
+interface face (``interface_dofs`` order), tied to its two cells by
+half-cell conductances, and splits the contrast-free result as
+A0 + A1 / eps, A1 the inclusion side.  Eliminating the face dofs gives the
+harmonic-mean matrix; the Dirichlet-to-Neumann reduction and the eps = 0
+limit pencil are views of (A0, A1).
 
 Eigenpairs come from one factor-once shift-invert solver.  It picks its
 own shift just below the semi-definite spectrum and returns Rayleigh
@@ -47,6 +51,9 @@ __all__ = [
     "SolvabilityError",
     "EigensolverError",
     "assemble",
+    "augmented",
+    "interface_dofs",
+    "check_solvable",
     "factor",
     "count_below",
     "shift_invert_eigenpairs",
@@ -68,7 +75,7 @@ PHASE_ONE_TOL = 1e-12   # |phase - 1| of a wrap face counted as phase 1 by ``sol
 
 
 class SolvabilityError(ValueError):
-    """Singular system: Neumann problem with a source that is not mean-free."""
+    """Singular system: the constants span the kernel and the source is not mean-free."""
 
 
 class EigensolverError(RuntimeError):
@@ -111,6 +118,11 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.h**self.dim
+
+    @property
+    def conductance(self) -> float:
+        """Conductance of a face between two cells at unit coefficient: measure / h."""
+        return 1.0 / self.h * self.h**(self.dim - 1)
 
     def interface_faces(self, i: int) -> np.ndarray:
         """Face-table indices of the interface of inclusion i."""
@@ -244,6 +256,43 @@ def face_matrix(n: int, cin: np.ndarray, cout: np.ndarray, g: np.ndarray,
     K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     K.sum_duplicates()
     return K
+
+
+def interface_dofs(grid: Grid):
+    """Face-table indices of the interface faces in dof order (grouped by
+    inclusion) and their inclusion labels."""
+    incl = grid.faces.inclusion
+    sel = np.nonzero(incl > 0)[0]
+    gamma = sel[np.argsort(incl[sel], kind="stable")]
+    return gamma, incl[gamma]
+
+
+def augmented(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Contrast-free stiffness (A0, A1) of the grid augmented by one dof per
+    interface face: the operator at contrast eps is A0 + A1 / eps.
+
+    The dofs are the cells in grid order, then the interface faces in
+    ``interface_dofs`` order (the trace at the face centre).  Each interface
+    face ties its two cells to its dof by half-cell conductances.  A1 holds
+    the faces of the inclusion cells and their ties; A0 holds the rest, with
+    the outer closure.  Eliminating the face dofs gives ``assemble``'s
+    harmonic-mean matrix.
+    """
+    t = grid.faces
+    gamma, _ = interface_dofs(grid)
+    n, dofs, g = grid.ncells + gamma.size, grid.ncells + np.arange(gamma.size), grid.conductance
+    plain = np.nonzero(t.inclusion == 0)[0]
+    inside = grid.labels[t.cin[plain]] > 0
+
+    def side(faces, tied):
+        cout = t.cout[faces]
+        return face_matrix(n, np.concatenate([t.cin[faces], tied]),
+                           np.concatenate([cout, dofs]),
+                           np.concatenate([np.where(cout >= 0, g, 2 * g),
+                                           np.full(gamma.size, 2 * g)]),
+                           np.concatenate([t.phase[faces], np.ones(gamma.size)]))
+
+    return side(plain[~inside], t.cout[gamma]), side(plain[inside], t.cin[gamma])
 
 
 @dataclass(frozen=True)
@@ -591,19 +640,26 @@ def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
     return w[:c], X[:, :c]
 
 
+def check_solvable(bc: BoundaryKind, grid: Grid, f: np.ndarray) -> bool:
+    """Whether the constants span the kernel (Neumann, or Bloch with every
+    wrap-face phase 1 to ``PHASE_ONE_TOL``); then the caller returns the
+    mean-zero solution, and this raises ``SolvabilityError`` unless the
+    source has zero mesh mean: |mean f| <= 1e-12 max(1, max |f|)."""
+    # every face of a Neumann grid has phase 1
+    if bc.kind == "dirichlet" or np.max(np.abs(grid.faces.phase - 1)) > PHASE_ONE_TOL:
+        return False
+    if abs(np.sum(f)) / f.size > 1e-12 * max(1.0, np.max(np.abs(f))):
+        raise SolvabilityError("source must have zero mesh mean: the constants span the kernel")
+    return True
+
+
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    """Solution of the discrete source problem.  Where the constants span the
-    kernel (Neumann, or Bloch with every wrap-face phase 1 to ``PHASE_ONE_TOL``)
-    the source must have zero mesh mean; the mean-zero solution is returned."""
+    """Solution of the discrete source problem; where the constants span the
+    kernel, the mean-zero solution of a mean-zero source (``check_solvable``)."""
     f = np.asarray(f)
     vol = opr.grid.cell_volume
     rhs = (vol * f).astype(opr.K.dtype)
-    # every face of a Neumann grid has phase 1
-    if opr.bc.kind != "dirichlet" and np.max(np.abs(opr.grid.faces.phase - 1)) <= PHASE_ONE_TOL:
-        mean = abs(np.sum(f)) / f.size
-        if mean > 1e-12 * max(1.0, np.max(np.abs(f))):
-            raise SolvabilityError("source must have zero mesh mean: "
-                                   "the constants span the kernel")
+    if check_solvable(opr.bc, opr.grid, f):
         # ground one cell of the consistent singular system, then shift
         u = np.append(factor(opr.K[:-1, :-1]).solve(rhs[:-1]), 0.0)
         u = u - np.mean(u)

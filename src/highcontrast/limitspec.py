@@ -2,17 +2,19 @@
 
 At epsilon = 0 the inclusions carry one constant c_i each, so the
 effective operator couples the exterior Helmholtz problem to m unknowns.
-Its spectrum is that of one Hermitian pencil on the exterior cells plus
-the inclusion constants,
+It is the limit of ``fdm.augmented``'s A0 + A1 / eps: A1 vanishes on the
+vectors constant on each inclusion and its interface faces, and forces
+the field onto them as eps -> 0.  Its spectrum is that of one Hermitian
+pencil on the exterior cells plus the inclusion constants,
 
-    A = [[K_EE, K_EG C], [C^H K_EG^H, C^H diag(K_GG_out) C]],
-    M = diag(vol I, |inclusion_1|, ..., |inclusion_m|),
+    A = P^H A0 P,    M = diag(vol I, |inclusion_1|, ..., |inclusion_m|),
 
-where C spreads c_i over the interface faces of inclusion i.  The first
-block row is the exterior Helmholtz equation with trace data c; the last
-m rows say that the flux out of inclusion i plus lambda c_i |inclusion_i|
-vanishes.  Eigenvectors with c != 0 form the ``constant_trace`` family
-(eigenfunctions constant on the inclusions; their eigenvalues are the
+where P spreads the exterior cells and c_i over the cells and interface
+face dofs of inclusion i (M is P^H diag(vol on the cells, 0 on the faces)
+P).  The exterior rows are the exterior Helmholtz equation with trace
+data c; the last m rows say that the flux out of inclusion i plus
+lambda c_i |inclusion_i| vanishes.  Eigenvectors with c != 0 form the
+``constant_trace`` family (eigenfunctions constant on the inclusions; their eigenvalues are the
 roots of det T(lambda), see :class:`CharacteristicDeterminant`).
 Eigenvectors with c = 0 form the ``zero_flux`` family: exterior
 eigenfunctions with zero data on every interface and vanishing total flux
@@ -21,21 +23,21 @@ degenerate eigenvalue cluster the two families are split by an SVD of the
 c block.
 
 Everything here works on the cell grids of :mod:`highcontrast.fdm`; the
-exterior block and interface couplings are shared with the
-Dirichlet-to-Neumann reduction.
+Dirichlet-to-Neumann reduction views the same A0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
-from .dtn import _unit_conductance, _unit_stiffness_blocks
-from .fdm import (build_grid, check_constant_mode, count_below, eigenpairs_below,
-                  face_phase, factor, label_reflection, real_form)
+from .fdm import (augmented, build_grid, check_constant_mode, check_solvable, count_below,
+                  eigenpairs_below, face_phase, factor, interface_dofs, label_reflection,
+                  real_form)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -110,22 +112,16 @@ class LimitSpectrum:
 
 @dataclass
 class ExteriorSystem:
-    """Exterior block of the interface-augmented grid system.
-
-    Cells outside the inclusions plus the interface trace couplings, at
-    unit coefficient, with the medium's outer closure.
-    """
+    """The limit pencil (A, mass) of a grid on the exterior cells (``idx_out``,
+    in grid order), then one constant per inclusion.  Its exterior block
+    K_EE is the unit-coefficient exterior system with the medium's outer
+    closure."""
 
     medium: ContrastMedium
     grid: object
-    incl_of: np.ndarray
-    idx_in: np.ndarray
     idx_out: np.ndarray
-    K_EE: sp.csc_matrix
-    K_EG: sp.csr_matrix
-    K_GG_out: np.ndarray
-    C: np.ndarray
-    measures: np.ndarray            # discrete inclusion volumes
+    A: sp.csc_matrix
+    mass: np.ndarray
 
     @property
     def vol(self) -> float:
@@ -133,22 +129,19 @@ class ExteriorSystem:
 
     @property
     def n_inclusions(self) -> int:
-        return self.C.shape[1]
+        return self.mass.size - self.idx_out.size
 
-    def interface_flux(self, phi: np.ndarray, u_ext: np.ndarray) -> np.ndarray:
-        """Total flux out of each inclusion for trace phi and exterior field u_ext."""
-        phi = np.asarray(phi)
-        kg = self.K_GG_out if phi.ndim == 1 else self.K_GG_out[:, None]
-        per_face = kg * phi + self.K_EG.T.conj() @ u_ext
-        return -(self.C.T @ per_face)
+    @cached_property
+    def K_EE(self) -> sp.csc_matrix:
+        nE = self.idx_out.size
+        return self.A[:nE, :nE]
 
-    def pencil(self):
-        """Limit pencil (A, mass): exterior cells, then one constant per inclusion."""
-        KC = self.K_EG @ sp.csc_matrix(self.C)
-        A = sp.bmat([[self.K_EE, KC],
-                     [KC.T.conj(), sp.diags(self.C.T @ self.K_GG_out)]], format="csc")
-        mass = np.concatenate([np.full(self.K_EE.shape[0], self.vol), self.measures])
-        return A, mass
+    def interface_flux(self, c: np.ndarray, u_ext: np.ndarray) -> np.ndarray:
+        """Total flux out of each inclusion for the inclusion constants c (a
+        vector, or one per column) and exterior field u_ext: minus the
+        constant rows of A."""
+        nE = self.idx_out.size
+        return -(self.A[nE:, nE:] @ c + self.A[nE:, :nE] @ u_ext)
 
     def exterior_eigs(self, lam_max: float):
         """Exterior eigenpairs (zero interface data) up to lam_max, unit-norm vectors."""
@@ -161,18 +154,20 @@ class ExteriorSystem:
 
 
 def build_exterior(medium: ContrastMedium, n: int = None) -> ExteriorSystem:
-    """Exterior system of a medium; the contrast value is irrelevant here."""
+    """Limit pencil of a medium; the contrast value is irrelevant here."""
     grid = build_grid(medium, n)
-    (gamma, incl_of, idx_in, idx_out,
-     _K_II, _K_IG, _K_GG_in, K_EE, K_EG, K_GG_out) = _unit_stiffness_blocks(grid)
-    m = int(incl_of.max()) if incl_of.size else 0
-    if m == 0:
+    _, incl_of = interface_dofs(grid)
+    if not incl_of.size:
         raise GeometryError("limit spectrum needs at least one inclusion")
-    C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
-    counts = np.bincount(grid.labels, minlength=m + 1)[1:]
-    return ExteriorSystem(medium, grid, incl_of, idx_in, idx_out,
-                          K_EE.tocsc(), K_EG, K_GG_out, C,
-                          counts * grid.cell_volume)
+    idx_out = np.nonzero(grid.labels == 0)[0]
+    # P: each cell and face dof of the augmented system to its pencil index
+    spread = np.concatenate([grid.labels, incl_of]) + idx_out.size - 1
+    spread[idx_out] = np.arange(idx_out.size)
+    P = sp.csr_matrix((np.ones(spread.size), (np.arange(spread.size), spread)))
+    A0, _ = augmented(grid)
+    mass = grid.cell_volume * np.concatenate([np.ones(idx_out.size),
+                                              np.bincount(grid.labels)[1:]])
+    return ExteriorSystem(medium, grid, idx_out, (P.T @ A0 @ P).tocsc(), mass)
 
 
 class CharacteristicDeterminant:
@@ -190,15 +185,13 @@ class CharacteristicDeterminant:
 
     def solves(self, lam: float) -> np.ndarray:
         """Exterior solutions (columns) for unit data on each interface."""
-        lu = self.ext.helmholtz_factor(lam)
-        rhs = -(self.ext.K_EG @ self.ext.C)
-        return lu.solve(np.asarray(rhs))
+        nE = self.ext.idx_out.size
+        return self.ext.helmholtz_factor(lam).solve(-self.ext.A[:nE, nE:].toarray())
 
     def matrix(self, lam: float) -> np.ndarray:
         U = self.solves(lam)
-        T = self.ext.interface_flux(self.ext.C.astype(U.dtype), U)
-        T = np.asarray(T)
-        T[np.diag_indices_from(T)] += lam * self.ext.measures
+        T = self.ext.interface_flux(np.eye(self.ext.n_inclusions, dtype=U.dtype), U)
+        T[np.diag_indices_from(T)] += lam * self.ext.mass[self.ext.idx_out.size:]
         return T
 
     def __call__(self, lam: float) -> float:
@@ -208,9 +201,8 @@ class CharacteristicDeterminant:
 
 def _full_field(ext: ExteriorSystem, u_ext: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Cell-grid vector: u_ext on the exterior cells, c_i on inclusion i."""
-    u = np.zeros(ext.grid.ncells, dtype=np.result_type(u_ext, c))
+    u = np.concatenate([[0], c]).astype(np.result_type(u_ext, c))[ext.grid.labels]
     u[ext.idx_out] = u_ext
-    u[ext.idx_in] = np.asarray(c)[ext.grid.labels[ext.idx_in] - 1]
     return u
 
 
@@ -224,12 +216,12 @@ def exterior_helmholtz_solve(medium: ContrastMedium, lam: float, c: np.ndarray,
     """
     ext = ext or build_exterior(medium, n)
     margin = POLE_MARGIN * max(1.0, abs(lam))
-    mass = np.full(ext.K_EE.shape[0], ext.vol)
+    nE = ext.idx_out.size
+    mass = np.full(nE, ext.vol)
     if count_below(ext.K_EE, mass, lam + margin) != count_below(ext.K_EE, mass, lam - margin):
         raise ResonanceError(f"lambda={lam} is an exterior resonance")
-    c = np.asarray(c, dtype=complex if ext.K_EE.dtype.kind == "c" else float)
-    lu = ext.helmholtz_factor(lam)
-    u_ext = lu.solve(np.asarray(-(ext.K_EG @ (ext.C @ c))))
+    c = np.asarray(c, dtype=complex if ext.A.dtype.kind == "c" else float)
+    u_ext = ext.helmholtz_factor(lam).solve(-(ext.A[:nE, nE:] @ c))
     return _full_field(ext, u_ext, c)
 
 
@@ -262,7 +254,7 @@ def _cluster_report(lams) -> tuple:
 def _pencil_pair(ext: ExteriorSystem, A, mass: np.ndarray, x: np.ndarray,
                  lam: float, trace: bool) -> LimitEigenpair:
     """Eigenpair record from a pencil eigenvector, residuals from the pencil rows."""
-    nE = ext.K_EE.shape[0]
+    nE = ext.idx_out.size
     if trace:
         c = _normalize_direction(x[nE:])
         j = int(np.argmax(np.abs(c)))
@@ -289,13 +281,13 @@ def _pencil_spectrum(ext: ExteriorSystem, lam_max: float) -> LimitSpectrum:
     keeps lambda = 0 as its first eigenvalue."""
     if lam_max <= 0:
         raise ValueError("lam_max must be > 0")
-    A, mass = ext.pencil()
+    A, mass = ext.A, ext.mass
     w, X = eigenpairs_below(A, mass, lam_max)
     if ext.medium.bc.kind == "neumann":
         # with no eigenvalue after it in the window, lam_max bounds the next
         check_constant_mode(w[0], w[1] if w.size > 1 else lam_max)
         w, X = w[1:], X[:, 1:]
-    nE = ext.K_EE.shape[0]
+    nE = ext.idx_out.size
     weight = np.sqrt(mass[nE:])[:, None]
     pairs = []
     for i, j in _cluster_bounds(w):
@@ -334,12 +326,11 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
     ext = ext or build_exterior(medium, n)
     w, v = ext.exterior_eigs(lam_max)
     c0 = np.zeros(ext.n_inclusions)
-    zero_trace = np.zeros(ext.C.shape[0])
     pairs, excluded = [], []
     for i, j in _cluster_bounds(w):
         lam = float(np.mean(w[i:j]))
         V = v[:, i:j]
-        F = np.column_stack([ext.interface_flux(zero_trace, V[:, d])
+        F = np.column_stack([ext.interface_flux(c0, V[:, d])
                              for d in range(j - i)])
         _, s, Vh = np.linalg.svd(F, full_matrices=True)
         s_full = np.concatenate([s, np.zeros(max(0, (j - i) - len(s)))])
@@ -350,7 +341,7 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
                 continue
             u_ext = V @ Vh.conj().T[:, d]
             u_ext = u_ext / (np.linalg.norm(u_ext) * np.sqrt(ext.vol))
-            flux = np.linalg.norm(ext.interface_flux(zero_trace, u_ext))
+            flux = np.linalg.norm(ext.interface_flux(c0, u_ext))
             res = np.linalg.norm(ext.K_EE @ u_ext - lam * ext.vol * u_ext)
             pde = float(res / (ext.vol * max(lam, 1.0) * np.linalg.norm(u_ext)))
             pairs.append(LimitEigenpair(lam, c0, _full_field(ext, u_ext, c0),
@@ -381,10 +372,10 @@ class _BlochPencil:
 
     def __init__(self, medium: ContrastMedium, n: int = None):
         self.ext = build_exterior(medium, n)
-        self.A, self.mass = self.ext.pencil()
-        self.g = _unit_conductance(self.ext.grid)
+        self.A, self.mass = self.ext.A, self.ext.mass
+        self.g = self.ext.grid.conductance
         pi = label_reflection(self.ext.grid.labels)
-        nE = self.ext.K_EE.shape[0]
+        nE = self.ext.idx_out.size
         self.J = None if pi is None else np.concatenate([np.arange(nE)[::-1], nE - 1 + pi[1:]])
 
     def at(self, k) -> sp.csc_matrix:
@@ -417,22 +408,20 @@ def _pencil_source(ext: ExteriorSystem, f: np.ndarray) -> np.ndarray:
 def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
     """Limit source problem under a Neumann outer condition.
 
-    The source must have zero mesh mean (solvability).  The pencil at z = 0
-    (see :func:`effective_resolvent`) is singular by the constants: one dof
-    is grounded, then the field is shifted to zero mesh mean.  Returns
+    The source must have zero mesh mean (``fdm.check_solvable``).  The
+    pencil at z = 0 (see :func:`effective_resolvent`) is singular by the
+    constants: one dof is grounded, then the field is shifted to zero mesh
+    mean.  Returns
     (u, c) with u a full grid vector and c the constant of each inclusion.
     """
     if medium.bc.kind != "neumann":
         raise GeometryError("solve_limit_neumann needs a Neumann outer condition")
     ext = build_exterior(medium, n)
     f = np.asarray(f, dtype=float)
-    total = np.sum(f) * ext.vol
-    if abs(total) > 1e-12 * max(1.0, np.max(np.abs(f))):
-        raise GeometryError("source must have zero mesh mean under Neumann closure")
-    A, mass = ext.pencil()
-    x = np.append(factor(A[:-1, :-1]).solve(_pencil_source(ext, f)[:-1]), 0.0)
-    x -= mass @ x / mass.sum()
-    nE = ext.K_EE.shape[0]
+    check_solvable(medium.bc, ext.grid, f)
+    x = np.append(factor(ext.A[:-1, :-1]).solve(_pencil_source(ext, f)[:-1]), 0.0)
+    x -= ext.mass @ x / ext.mass.sum()
+    nE = ext.idx_out.size
     return _full_field(ext, x[:nE], x[nE:]), x[nE:]
 
 
@@ -454,9 +443,8 @@ def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
     """
     ext = ext or build_exterior(medium, n)
     f = np.asarray(f)
-    A, mass = ext.pencil()
-    dtype = np.result_type(A.dtype, type(z), f.dtype)
+    dtype = np.result_type(ext.A.dtype, type(z), f.dtype)
     rhs = _pencil_source(ext, f).astype(dtype)
-    x = factor(A.astype(dtype) - z * sp.diags(mass)).solve(rhs)
-    nE = ext.K_EE.shape[0]
+    x = factor(ext.A.astype(dtype) - z * sp.diags(ext.mass)).solve(rhs)
+    nE = ext.idx_out.size
     return _full_field(ext, x[:nE], x[nE:])

@@ -136,6 +136,27 @@ def test_bloch_pathway_hermitian_and_consistent():
     assert np.max(np.abs(u - u_direct)) < 1e-10
 
 
+def test_bloch_at_phase_one_follows_the_neumann_rule():
+    # k = 0: the constants span the kernel, so only a mean-zero source is
+    # solvable, and the mean-zero field is the one returned, as by fdm.solve
+    med = ContrastMedium(square(1 / 32, CENTRE), 1e-2, BoundaryKind.bloch(0.0))
+    sysd = dtn.build_dtn(med)
+    for eps in (1e-2, 0.0):
+        with pytest.raises(fdm.SolvabilityError):
+            dtn.apply_Bhat(sysd, eps, np.ones(sysd.grid.ncells))
+    inside = sysd.grid.labels > 0
+    f = np.where(inside, 1.0, -0.2)
+    f = f - np.mean(f)
+    opr = fdm.assemble(med)
+    u_direct = fdm.solve(opr, f)
+    u, tr = dtn.apply_Bhat(sysd, 1e-2, f)
+    assert np.max(np.abs(u - u_direct)) < 1e-12
+    assert np.max(np.abs(tr.values - dtn.trace_on_interface(sysd, opr, u_direct))) < 1e-12
+    u0, tr0 = dtn.apply_Bhat(sysd, 0.0, f)
+    assert abs(np.mean(u0)) < 1e-12 and np.max(np.abs(u0)) < 1.0
+    assert np.max(np.abs(u0[inside] - tr0.constants[0])) < 1e-12
+
+
 def test_neumann_outer_bc_redirected():
     med = ContrastMedium(SYM, 1e-2, BoundaryKind.neumann())
     with pytest.raises(GeometryError):
@@ -200,7 +221,7 @@ def test_interface_dofs_grouped_by_inclusion():
     mask = rectangles_to_mask(1.0, 1.0, 1 / 32, corners)
     grid = fdm.build_grid(ContrastMedium(Geometry2D(1.0, 1.0, 1 / 32, mask), 0.0,
                                          BoundaryKind.dirichlet()))
-    gamma, incl = dtn.interface_dofs(grid)
+    gamma, incl = fdm.interface_dofs(grid)
     assert np.all(np.diff(incl) >= 0)
     assert np.bincount(incl).tolist() == [0, 32, 32, 32, 32]
     assert np.array_equal(grid.faces.inclusion[gamma], incl)
@@ -237,12 +258,13 @@ CORNERS = [(x, x + 0.25, y, y + 0.25) for x in (0.125, 0.625) for y in (0.125, 0
 ])
 def test_flux_maps_equal_dense_schur_complements(med, n, rtol):
     sysd = dtn.build_dtn(med, n)
-    (_g, _i, _ii, _io, K_II, K_IG, D_in,
-     K_EE, K_EG, D_out) = dtn._unit_stiffness_blocks(sysd.grid)
-    for got, K, KG, D, sign in ((sysd.Nm, K_II, K_IG, D_in, 1.0),
-                                (sysd.Np, K_EE, K_EG, D_out, -1.0)):
-        KG = KG.toarray()
-        ref = sign * (np.diag(D) - KG.conj().T @ np.linalg.inv(K.toarray()) @ KG)
+    A0, A1 = fdm.augmented(sysd.grid)
+    dofs = sysd.grid.ncells + np.arange(sysd.n_faces)
+    for got, A, cells, sign in ((sysd.Nm, A1, np.nonzero(sysd.grid.labels > 0)[0], 1.0),
+                                (sysd.Np, A0, np.nonzero(sysd.grid.labels == 0)[0], -1.0)):
+        A = A.toarray()
+        K, KG, D = A[cells][:, cells], A[cells][:, dofs], A[dofs][:, dofs]
+        ref = sign * (D - KG.conj().T @ np.linalg.inv(K) @ KG)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) < rtol * scale
         assert np.max(np.abs(got - got.conj().T)) < 1e-14 * scale

@@ -196,7 +196,7 @@ class TestShiftInvert:
     def test_window_mode_on_a_mass_pencil(self):
         # Neumann limit pencil: the zero eigenvalue sits inside the window
         ext = limitspec.build_exterior(med2d(0.0, bc=BoundaryKind.neumann()))
-        A, mass = ext.pencil()
+        A, mass = ext.A, ext.mass
         w, X = fdm.eigenpairs_below(A, mass, 300.0)
         ref = sla.eigh(A.toarray(), np.diag(mass), eigvals_only=True)
         ref = ref[ref <= 300.0]
@@ -225,7 +225,8 @@ def window_pencil(name):
                         "corners": (1 / 32, CORNERS, BoundaryKind.dirichlet()),
                         "neumann": (1 / 16, centre, BoundaryKind.neumann()),
                         "bloch": (1 / 16, centre, BoundaryKind.bloch(0.7))}[name]
-        A, mass = limitspec.build_exterior(med2d(0.0, h, bc, rects)).pencil()
+        ext = limitspec.build_exterior(med2d(0.0, h, bc, rects))
+        A, mass = ext.A, ext.mass
     root = np.sqrt(mass)
     return A, mass, sla.eigh(A.toarray() / np.outer(root, root), eigvals_only=True)
 
@@ -540,6 +541,30 @@ def test_flux_on_interface_matches_face_loop(med, n):
                 cin, cout = (a, b) if labels[a] == i else (b, a)
                 ref += g * (u[cout] - u[cin])
         assert fdm.flux_on_interface(opr, u, i) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("med, n", [
+    (med1d(bc=BoundaryKind.dirichlet()), 4000),
+    (ContrastMedium(Geometry1D(-1.0, 1.0, ((-0.6, 0.2),)), 1.0, BoundaryKind.bloch(0.7)), 1000),
+    *[(med2d(h=1 / 32, bc=bc), None) for bc in (BoundaryKind.dirichlet(), BoundaryKind.neumann(),
+                                                 BoundaryKind.bloch((0.7, 0.3)))],
+    (med2d(h=1 / 32, rects=CORNERS), None),
+    (med2d(h=1 / 192), None),
+])
+@pytest.mark.parametrize("eps", [1e-1, 1e-4])
+def test_eliminating_the_face_dofs_gives_the_assembled_matrix(med, n, eps):
+    # A0 + A1 / eps on cells and face dofs; the face block is diagonal
+    grid = fdm.build_grid(med, n)
+    A0, A1 = fdm.augmented(grid)
+    A = (A0 + A1 / eps).tocsr()
+    cells, dofs = np.arange(grid.ncells), np.arange(grid.ncells, A.shape[0])
+    assert dofs.size == fdm.interface_dofs(grid)[0].size
+    D = A[dofs][:, dofs]
+    assert D.nnz == dofs.size and (D != sp.diags(D.diagonal())).nnz == 0
+    A_CF = A[cells][:, dofs]
+    K = A[cells][:, cells] - A_CF @ sp.diags(1.0 / D.diagonal()) @ A_CF.conj().T
+    ref = fdm.assemble(med.with_epsilon(eps), n).K
+    assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
 
 def test_interface_faces_per_inclusion_are_the_perimeter():
