@@ -15,8 +15,8 @@ from .exact1d import (transfer_spectrum_1d, limit_spectrum_1d,
                       bloch_limit_curve, rationality_certificate)
 from .dtn import build_dtn, solve_block_system, apply_Bhat, analyticity_probe
 from .limitspec import (det_scan, zero_flux_branch, limit_spectrum,
-                        solve_limit_neumann, limit_spectrum_neumann,
-                        effective_resolvent, exterior_helmholtz_solve)
+                        limit_spectrum_neumann, effective_resolvent,
+                        exterior_helmholtz_solve)
 from .bloch import dispersion_sweep, gap_report
 from .radial3d import sphere_limit_spectrum, radial_operator, radial_eigenpairs
 

@@ -191,8 +191,7 @@ def run_limit(cfg: dict, out: str, fmt: str = "csv") -> dict:
         _emit(rows, "branch,index,lambda,omega,residual",
               os.path.join(out, "exact_limit.csv"), fmt)
     return {"eigenvalues": [p.lam for p in spec.pairs],
-            "branches": [p.branch for p in spec.pairs],
-            "unresolved": list(spec.unresolved)}
+            "branches": [p.branch for p in spec.pairs]}
 
 
 def run_dispersion(cfg: dict, out: str, fmt: str = "csv") -> dict:
@@ -308,11 +307,10 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
 
     if isinstance(geom, (Geometry1D, Geometry2D)):
         n = _grid_n(cfg, med) if isinstance(geom, Geometry1D) else None
-        neumann = med.bc.kind == "neumann"
         # the reduction is contrast-free, so one system serves every check
         # and contrast below; a failed build fails each check that uses it
         try:
-            shared = None if neumann else dtn.build_dtn(med, n)
+            shared = dtn.build_dtn(med, n)
         except Exception as exc:                   # failures are data here
             shared = exc
 
@@ -322,10 +320,10 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
             return shared
 
         def dtn_identity():
-            if neumann:
-                return True, "skipped (Neumann closure has no trace reduction)"
             sysd = dtn_system()
+            # mean-zero, so solvable where the constants span the kernel
             f = np.where(sysd.grid.labels > 0, 1.0, 0.5)
+            f = f - np.mean(f)
             worst = 0.0
             for eps in (1e-1, 1e-3):
                 u, _tr = dtn.apply_Bhat(sysd, eps, f)
@@ -335,10 +333,22 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
         checks.append(("dtn_identity", dtn_identity))
 
         def np11_negative():
-            if neumann:
-                return True, "skipped"
-            ev = np.linalg.eigvalsh(dtn_system().Np11)
-            return bool(ev.max() < 0), f"largest constants-block eigenvalue {ev.max():.4f}"
+            sysd = dtn_system()
+            # a zero source only asks whether the constants span the kernel
+            if not fdm.check_solvable(med.bc, sysd.grid, np.zeros(sysd.grid.ncells)):
+                ev = np.linalg.eigvalsh(sysd.Np11)
+                return bool(ev.max() < 0), f"largest constants-block eigenvalue {ev.max():.4f}"
+            # the constants span the kernel: Np11 1_m = 0, Np11 < 0 off 1_m.  Np
+            # is 0 where each exterior piece ends at a Neumann wall (1D), so
+            # the kernel is measured against both flux maps
+            ones = np.ones((sysd.n_inclusions, 1))
+            Q = np.linalg.qr(ones, mode="complete")[0][:, 1:]
+            ev = np.linalg.eigvalsh(Q.T @ sysd.Np11 @ Q)
+            kernel = float(np.max(np.abs(sysd.Np11 @ ones)))
+            scale = max(np.max(np.abs(sysd.Nm)), np.max(np.abs(sysd.Np)))
+            top = f"{ev.max():.4f}" if ev.size else "none"
+            return (bool(kernel <= 1e-10 * scale and np.all(ev < 0)),
+                    f"|Np11 1_m| {kernel:.2e}; largest eigenvalue off 1_m {top}")
         checks.append(("exterior_constants_negative", np11_negative))
 
     if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):

@@ -16,7 +16,10 @@ with Nm the (eps-independent) interior flux map, Np the exterior one, and
 Mp/Mm the source-to-flux maps.  Traces split into per-inclusion constants
 plus zero-mean remainders; the block elimination in that splitting is
 what evaluates the inverse at eps = 0 and exposes the flux constant that
-determines the inclusion value.
+determines the inclusion value.  Under a Neumann closure, or a Bloch one
+with phase 1 on every wrap face, the global constant is in the kernel of
+both maps, and the m x m constants system is bordered with 1_m; for those
+closures this is also the one eps = 0 source solve.
 
 Nm and Np are each read off the trailing block of one unpivoted sparse LU
 of their side's augmented system, with no dense right-hand side.
@@ -62,9 +65,10 @@ class DtNSystem:
     Dense matrices act on the vector of interface-face values.  ``C`` maps
     per-inclusion constants into traces; ``Z`` is an orthonormal basis of
     the per-inclusion zero-mean subspace.  ``Np11`` is the m x m constants
-    block of the exterior flux map (strictly negative definite); the
-    interior map ``Nm`` annihilates constants per inclusion.  The five
-    blocks are computed on first access and kept.
+    block of the exterior flux map (negative definite, or negative off its
+    kernel 1_m where the constants span the kernel); the interior map
+    ``Nm`` annihilates constants per inclusion.  The five blocks are
+    computed on first access and kept.
     """
 
     medium: ContrastMedium
@@ -93,7 +97,8 @@ class DtNSystem:
 
     @property
     def a_constants(self) -> np.ndarray:
-        """Diagonal of the constants block of the exterior flux map (all < 0)."""
+        """Diagonal of the constants block of the exterior flux map: all < 0,
+        but 0 for one inclusion whose constant is in the kernel of Np."""
         return np.real(np.diag(self.Np11))
 
     @cached_property
@@ -163,24 +168,22 @@ def _schur(lu, A: sp.spmatrix, cells: np.ndarray, dofs: np.ndarray) -> np.ndarra
 def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     """Interface flux operators of the medium's grid; the contrast is ignored.
 
-    The exterior closure follows the medium's outer condition (Dirichlet
-    or Bloch at a non-integer wave vector); the Neumann pathway skips the
-    constants block and lives in :mod:`highcontrast.limitspec`.
+    The exterior closure follows the medium's outer condition: Dirichlet,
+    Neumann or Bloch.
 
     Each side is a principal submatrix of ``fdm.augmented``'s (A0, A1):
     the inclusion cells and the face dofs of A1, the exterior cells and the
-    face dofs of A0.  Np = -(D_out - K_EG^H K_EE^-1 K_EG) is read off one
-    unpivoted LU of the exterior side (:func:`_schur`).  The interior side
-    has the per-inclusion constants in its kernel, so unlifted its last
-    pivot can be exactly zero.  It is factored with alpha C C^T added on
-    the face dofs (alpha the mean of their diagonal), which is definite, and
-    Nm is that Schur complement minus alpha C C^T.  The cell factors
+    face dofs of A0.  Np = -(D_out - K_EG^H K_EE^-1 K_EG) and Nm are each
+    read off one unpivoted LU of their side (:func:`_schur`).  The interior
+    side has the per-inclusion constants in its kernel, and the exterior
+    one the constant of each exterior piece under a Neumann or phase-1
+    closure, so unlifted a last pivot can be exactly zero.  Both sides are
+    factored with alpha I added on the face dofs (alpha the mean of A1's
+    diagonal there), which is definite, and alpha I is taken off the two
+    Schur complements again.  The cell factors
     ``in_lu`` and ``out_lu`` fix the orderings and serve Mm, Mp and
     :func:`apply_Bhat`.
     """
-    if medium.bc.kind == "neumann":
-        raise GeometryError("Neumann outer conditions use the limit-source pathway "
-                            "(limitspec.solve_limit_neumann)")
     grid = build_grid(medium, n)
     A0, A1 = augmented(grid)
     gamma, incl_of = interface_dofs(grid)
@@ -195,15 +198,13 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     except EigensolverError as exc:
         raise GeometryError(f"singular interior/exterior block: {exc}") from exc
 
-    m = int(incl_of.max())
+    nG, m = gamma.size, int(incl_of.max())
     C = (incl_of[:, None] == np.arange(1, m + 1)).astype(float)
-    CCt = (incl_of[:, None] == incl_of).astype(float)
     alpha = float(np.mean(A1.diagonal()[dofs].real))
-    spread = sp.csr_matrix((np.ones(gamma.size), (dofs, incl_of - 1)), shape=(A1.shape[0], m))
-    Nm = _schur(in_lu, A1 + alpha * (spread @ spread.T), idx_in, dofs) - alpha * CCt
-    Np = -_schur(out_lu, A0, idx_out, dofs)
+    lift = sp.diags(np.repeat([0.0, alpha], [grid.ncells, nG]))
+    Nm = _schur(in_lu, A1 + lift, idx_in, dofs) - alpha * np.eye(nG)
+    Np = alpha * np.eye(nG) - _schur(out_lu, A0 + lift, idx_out, dofs)
 
-    nG = len(gamma)
     # orthonormal basis of the per-inclusion zero-mean subspace: columns
     # 2..n_i of the Householder reflector I - 2 v v^T / v^T v that maps e_1 to
     # the unit constant 1/sqrt(n_i) (v = e_1 - 1/sqrt(n_i)), no factorization;
@@ -224,30 +225,27 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
                      _K_IG=K_IG, _K_EG=K_EG, _idx_in=idx_in, _idx_out=idx_out)
 
 
-def _split_source(sys: DtNSystem, f: np.ndarray):
-    f = np.asarray(f)
-    return f[sys._idx_in], f[sys._idx_out]
-
-
 def solve_block_system(sys: DtNSystem, eps: float, f: np.ndarray) -> TraceFunction:
     """Trace of the solution at contrast eps >= 0 by the two-step elimination.
 
     The zero-mean part is eliminated against the (invertible) interior
     block first; the remaining m x m system on the inclusion constants is
     solved last, and at eps = 0 reduces to the flux equation for the
-    constant inclusion values.
+    constant inclusion values.  Where the constants span the kernel
+    (``fdm.check_solvable``) the source must have zero mesh mean, and the
+    constants system, singular by 1_m, is bordered with 1_m.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    f_in, f_out = _split_source(sys, f)
+    f = np.asarray(f)
+    grounded = check_solvable(sys.medium.bc, sys.grid, f)
+    f_in, f_out = f[sys._idx_in], f[sys._idx_out]
     g = sys.Mp(f_out) - sys.Mm(f_in)
     gc = sys.C.T.conj() @ g
     gp = sys.Z.conj().T @ g
     m = sys.n_inclusions
     if eps == 0.0:
-        A = sys.Np11
-        c = np.linalg.solve(A, -gc)
-        beta = np.zeros(sys.Z.shape[1], dtype=sys.Nm.dtype)
+        A, rhs = sys.Np11, -gc
     else:
         B = sys.Nm22 - eps * sys.Np22
         try:
@@ -257,10 +255,14 @@ def solve_block_system(sys: DtNSystem, eps: float, f: np.ndarray) -> TraceFuncti
         Xc, xg = X[:, :m], X[:, m]
         A = sys.Np11 + eps * (sys.Np12 @ Xc)
         rhs = -gc - eps * (sys.Np12 @ xg)
-        c = np.linalg.solve(A, rhs)
-        beta = eps * (Xc @ c + xg)
+    if grounded:
+        # A 1_m = 0: the border picks the constants of zero sum
+        ones = np.ones((m, 1))
+        A, rhs = np.block([[A, ones], [ones.T, np.zeros((1, 1))]]), np.append(rhs, 0.0)
+    c = np.linalg.solve(A, rhs)[:m]
+    beta = eps * (Xc @ c + xg) if eps else np.zeros(sys.Z.shape[1], dtype=sys.Nm.dtype)
     det = np.linalg.det(A)
-    if abs(det) < 1e-14 * max(1.0, np.linalg.norm(A)) ** m:
+    if abs(det) < 1e-14 * max(1.0, np.linalg.norm(A)) ** len(A):
         raise RuntimeError(f"reduced constants system singular (det={det:.3e})")
     phi = sys.C @ c + sys.Z @ beta
     return TraceFunction(phi, c, sys.Z @ beta)
@@ -272,18 +274,20 @@ def apply_Bhat(sys: DtNSystem, eps: float, f: np.ndarray):
     Returns ``(u, trace)`` with ``u`` on the cell grid.  For eps > 0 this
     equals the direct solve of the assembled matrix (same grid) up to
     roundoff; at eps = 0 the inclusion values are exactly the solved
-    constants.  Where the constants span the kernel (a Bloch closure with
+    constants.  Where the constants span the kernel (Neumann, or Bloch with
     phase 1 on every wrap face) it follows ``fdm.solve``: a source of
     nonzero mesh mean raises ``SolvabilityError``, and the field and its
-    trace are shifted to zero mesh mean.
+    trace are shifted to zero mesh mean.  There ``apply_Bhat(sys, 0, f)``
+    is the limit source problem of those closures.
     """
     f = np.asarray(f)
     grounded = check_solvable(sys.medium.bc, sys.grid, f)
     tr = solve_block_system(sys, eps, f)
-    f_in, f_out = _split_source(sys, f)
+    f_in, f_out = f[sys._idx_in], f[sys._idx_out]
     vol = sys.grid.cell_volume
     u = np.zeros(sys.grid.ncells, dtype=sys.Nm.dtype)
-    u[sys._idx_in] = sys._in_solve(eps * vol * f_in - sys._K_IG @ tr.values)
+    u[sys._idx_in] = (sys._in_solve(eps * vol * f_in - sys._K_IG @ tr.values) if eps
+                      else tr.constants[sys.grid.labels[sys._idx_in] - 1])
     u[sys._idx_out] = sys._out_solve(vol * f_out - sys._K_EG @ tr.values)
     if grounded:
         mean = np.mean(u)

@@ -182,7 +182,7 @@ def _check_multiplier(k: float, period: float) -> None:
     if abs(np.sin(k * period)) < REAL_MULTIPLIER_TOL:
         raise GeometryError(
             f"Bloch number {k}: the multiplier exp(-ikL) is within {REAL_MULTIPLIER_TOL} "
-            f"of +-1 (L = {period}), where the closed form can miss double eigenvalues")
+            f"of +-1 (L = {period}), where the root scan can miss double eigenvalues")
 
 
 def _char_transfer(geom: Geometry1D, eps: float, bc: BoundaryKind):

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
-from .fdm import (augmented, build_grid, check_constant_mode, check_solvable, count_below,
+from .fdm import (augmented, build_grid, check_constant_mode, count_below,
                   eigenpairs_below, face_phase, factor, interface_dofs, label_reflection,
                   real_form)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
@@ -51,7 +51,6 @@ __all__ = [
     "det_scan",
     "zero_flux_branch",
     "limit_spectrum",
-    "solve_limit_neumann",
     "limit_spectrum_neumann",
     "effective_resolvent",
 ]
@@ -398,33 +397,6 @@ class _BlochPencil:
         return A if self.J is None else real_form(A, self.J)
 
 
-def _pencil_source(ext: ExteriorSystem, f: np.ndarray) -> np.ndarray:
-    """Pencil right-hand side of a cell source f: vol f on the exterior
-    cells, then the integral of f over each inclusion."""
-    sums = [np.sum(f[ext.grid.labels == i + 1]) for i in range(ext.n_inclusions)]
-    return ext.vol * np.concatenate([f[ext.idx_out], sums])
-
-
-def solve_limit_neumann(medium: ContrastMedium, f: np.ndarray, n: int = None):
-    """Limit source problem under a Neumann outer condition.
-
-    The source must have zero mesh mean (``fdm.check_solvable``).  The
-    pencil at z = 0 (see :func:`effective_resolvent`) is singular by the
-    constants: one dof is grounded, then the field is shifted to zero mesh
-    mean.  Returns
-    (u, c) with u a full grid vector and c the constant of each inclusion.
-    """
-    if medium.bc.kind != "neumann":
-        raise GeometryError("solve_limit_neumann needs a Neumann outer condition")
-    ext = build_exterior(medium, n)
-    f = np.asarray(f, dtype=float)
-    check_solvable(medium.bc, ext.grid, f)
-    x = np.append(factor(ext.A[:-1, :-1]).solve(_pencil_source(ext, f)[:-1]), 0.0)
-    x -= ext.mass @ x / ext.mass.sum()
-    nE = ext.idx_out.size
-    return _full_field(ext, x[:nE], x[nE:]), x[nE:]
-
-
 def limit_spectrum_neumann(medium: ContrastMedium, lam_max: float,
                            n: int = None) -> LimitSpectrum:
     """Limit spectrum with the Neumann outer closure; lambda = 0 excluded."""
@@ -444,7 +416,9 @@ def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
     ext = ext or build_exterior(medium, n)
     f = np.asarray(f)
     dtype = np.result_type(ext.A.dtype, type(z), f.dtype)
-    rhs = _pencil_source(ext, f).astype(dtype)
+    # vol f on the exterior cells, then the integral of f over each inclusion
+    sums = [np.sum(f[ext.grid.labels == i + 1]) for i in range(ext.n_inclusions)]
+    rhs = (ext.vol * np.concatenate([f[ext.idx_out], sums])).astype(dtype)
     x = factor(ext.A.astype(dtype) - z * sp.diags(ext.mass)).solve(rhs)
     nE = ext.idx_out.size
     return _full_field(ext, x[:nE], x[nE:])

@@ -107,6 +107,22 @@ def test_validate_without_closed_form_passes(tmp_path, medium):
     assert verdict["passed"] and result["limit_matches_exact"]["passed"]
 
 
+@pytest.mark.parametrize("rects, bc", [
+    # two inclusions, so Np11 is checked off 1_m as well as on it
+    ([[0.125, 0.375, 0.125, 0.375], [0.625, 0.875, 0.625, 0.875]], "neumann"),
+    ([[0.25, 0.75, 0.25, 0.75]], {"bloch": 0.0}),
+])
+def test_validate_checks_the_reduction_where_constants_span_the_kernel(tmp_path, rects, bc):
+    medium = {"dim": 2, "domain": [1.0, 1.0], "inclusions": rects, "h": 1 / 16,
+              "epsilon": 1e-2, "bc": bc}
+    cfg = write_cfg(tmp_path, "c.json", {"medium": medium})
+    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "validate.json").read_text())
+    result = {c["name"]: c for c in verdict["criteria"]}
+    for name in ("dtn_identity", "exterior_constants_negative"):
+        assert result[name]["passed"] and "skipped" not in result[name]["detail"]
+
+
 RADIAL = {"dim": "radial", "inclusions": [0.5], "h": 0.002, "epsilon": 1e-2,
           "bc": "dirichlet"}
 FIRST_SPHERE = 10.710706579361926

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from highcontrast import dtn, fdm
+from highcontrast import dtn, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
-                                   Geometry2D, GeometryError, rectangles_to_mask)
+                                   Geometry2D, rectangles_to_mask)
 
 SYM = Geometry1D(-1.0, 1.0, ((-0.5, 0.5),))
 ASYM = Geometry1D(-1.0, 1.0, ((-0.6, 0.2),))
@@ -138,12 +138,14 @@ def test_bloch_pathway_hermitian_and_consistent():
 
 def test_bloch_at_phase_one_follows_the_neumann_rule():
     # k = 0: the constants span the kernel, so only a mean-zero source is
-    # solvable, and the mean-zero field is the one returned, as by fdm.solve
+    # solvable, and the mean-zero field is the one returned, as by fdm.solve;
+    # for f = 1 the trace solve refuses too, not returning a trace of size 1e13
     med = ContrastMedium(square(1 / 32, CENTRE), 1e-2, BoundaryKind.bloch(0.0))
     sysd = dtn.build_dtn(med)
-    for eps in (1e-2, 0.0):
-        with pytest.raises(fdm.SolvabilityError):
-            dtn.apply_Bhat(sysd, eps, np.ones(sysd.grid.ncells))
+    for solve in (dtn.solve_block_system, dtn.apply_Bhat):
+        for eps in (1e-2, 0.0):
+            with pytest.raises(fdm.SolvabilityError):
+                solve(sysd, eps, np.ones(sysd.grid.ncells))
     inside = sysd.grid.labels > 0
     f = np.where(inside, 1.0, -0.2)
     f = f - np.mean(f)
@@ -157,16 +159,10 @@ def test_bloch_at_phase_one_follows_the_neumann_rule():
     assert np.max(np.abs(u0[inside] - tr0.constants[0])) < 1e-12
 
 
-def test_neumann_outer_bc_redirected():
-    med = ContrastMedium(SYM, 1e-2, BoundaryKind.neumann())
-    with pytest.raises(GeometryError):
-        dtn.build_dtn(med, 200)
-
-
 def test_admissible_contrast_estimate(sym_sys):
     eps0 = sym_sys.epsilon_max()
     assert 0 < eps0
-    # reproducible: fixed power-iteration seed
+    # reproducible: a dense spectral norm, with no random start
     assert eps0 == sym_sys.epsilon_max()
 
 
@@ -294,3 +290,54 @@ def test_pivoted_schur_factor_raises(monkeypatch):
     monkeypatch.setattr(dtn, "factor", pivoting)
     with pytest.raises(fdm.EigensolverError, match="unpivoted"):
         dtn.build_dtn(ContrastMedium(SYM, 1e-2, BoundaryKind.dirichlet()), 16)
+
+
+#: media whose constants span the kernel: Neumann, and Bloch with phase 1 on
+#: every wrap face (k = 2 pi on the unit square is phase 1 to rounding)
+GROUNDED = [
+    (ContrastMedium(SYM, 1e-2, BoundaryKind.neumann()), 400),
+    (ContrastMedium(Geometry1D(-1.0, 1.0, ((-0.6, -0.2), (0.2, 0.6))), 1e-2,
+                    BoundaryKind.neumann()), 400),
+    (ContrastMedium(square(1 / 32, CENTRE), 1e-2, BoundaryKind.neumann()), None),
+    (ContrastMedium(square(1 / 32, CORNERS), 1e-2, BoundaryKind.neumann()), None),
+    (ContrastMedium(ASYM, 1e-2, BoundaryKind.bloch(0.0)), 400),
+    (ContrastMedium(square(1 / 32, CENTRE), 1e-2, BoundaryKind.bloch(0.0)), None),
+    (ContrastMedium(square(1 / 32, CORNERS), 1e-2, BoundaryKind.bloch((0.0, 2 * np.pi))), None),
+]
+
+
+@pytest.mark.parametrize("med, n", GROUNDED)
+def test_reduction_where_constants_span_the_kernel(med, n):
+    sysd = dtn.build_dtn(med, n)
+    f = np.cos(3.0 * np.arange(sysd.grid.ncells))
+    f -= np.mean(f)
+    for eps in (1e-1, 1e-3):
+        u, _ = dtn.apply_Bhat(sysd, eps, f)
+        u_direct = fdm.solve(fdm.assemble(med.with_epsilon(eps), n), f)
+        assert np.max(np.abs(u - u_direct)) < 1e-10
+    # eps = 0: the limit pencil grounded at its last dof, shifted to zero mesh mean
+    ext = limitspec.build_exterior(med.with_epsilon(0.0), n)
+    labels, nE = ext.grid.labels, ext.idx_out.size
+    sums = [np.sum(f[labels == i]) for i in range(1, ext.n_inclusions + 1)]
+    rhs = ext.vol * np.append(f[ext.idx_out], sums)
+    x = np.append(fdm.factor(ext.A[:-1, :-1]).solve(rhs[:-1].astype(ext.A.dtype)), 0.0)
+    x -= ext.mass @ x / ext.mass.sum()
+    ref = np.empty(ext.grid.ncells, dtype=x.dtype)
+    ref[ext.idx_out] = x[:nE]
+    ref[labels > 0] = x[nE:][labels[labels > 0] - 1]
+    u0, tr0 = dtn.apply_Bhat(sysd, 0.0, f)
+    assert np.max(np.abs(u0 - ref)) < 1e-12
+    assert np.max(np.abs(tr0.constants - x[nE:])) < 1e-12
+
+
+@pytest.mark.parametrize("med, n", [
+    *[(ContrastMedium(SYM, 1e-2, BoundaryKind.neumann()), n) for n in (8, 16, 64)],
+    (ContrastMedium(square(1 / 8, CENTRE), 1e-2, BoundaryKind.neumann()), None),
+    (ContrastMedium(square(1 / 16, CENTRE), 1e-2, BoundaryKind.bloch(0.0)), None),
+])
+def test_exterior_map_builds_on_exact_grids(med, n):
+    """Grids whose exterior system, under a closure with the constants in
+    its kernel, has an exactly zero last pivot unlifted."""
+    sysd = dtn.build_dtn(med, n)
+    assert np.max(np.abs(sysd.Np @ np.ones(sysd.n_faces))) < 1e-13
+    assert np.max(np.abs(sysd.Nm @ sysd.C)) < 1e-13

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from highcontrast import exact1d, fdm, limitspec
+from highcontrast import dtn, exact1d, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
                                    Geometry2D, rectangles_to_mask)
 
@@ -159,7 +159,8 @@ def test_neumann_source_problem():
     m = med(BoundaryKind.neumann())
     ext = limitspec.build_exterior(m, 2000)
     f = np.where(ext.grid.labels > 0, 1.0, -1.0)
-    u, c0 = limitspec.solve_limit_neumann(m, f, 2000)
+    u, tr = dtn.apply_Bhat(dtn.build_dtn(m, 2000), 0.0, f)
+    c0 = tr.constants
     # hand computation: u'' = 1 outside with u(+-0.5) = 0, u'(+-1) = 0
     assert c0 == pytest.approx(1.0 / 24.0, abs=1e-6)
     assert abs(np.mean(u)) < 1e-12
@@ -174,7 +175,8 @@ def test_neumann_source_with_two_inclusions():
     x = fdm.build_grid(m, 2000).centers
     f = x + 0.5 * np.cos(np.pi * x)
     f -= np.mean(f)
-    u, c = limitspec.solve_limit_neumann(m, f, 2000)
+    u, tr = dtn.apply_Bhat(dtn.build_dtn(m, 2000), 0.0, f)
+    c = tr.constants
     err = [np.max(np.abs(fdm.solve(fdm.assemble(m.with_epsilon(eps), 2000), f) - u))
            for eps in (1e-4, 1e-5)]
     assert err[0] < 1e-3 * np.max(np.abs(u))
@@ -185,10 +187,9 @@ def test_neumann_source_with_two_inclusions():
 
 
 def test_neumann_source_needs_zero_mean():
-    m = med(BoundaryKind.neumann())
-    ext = limitspec.build_exterior(m, 500)
+    sysd = dtn.build_dtn(med(BoundaryKind.neumann()), 500)
     with pytest.raises(fdm.SolvabilityError):
-        limitspec.solve_limit_neumann(m, np.ones(ext.grid.ncells), 500)
+        dtn.apply_Bhat(sysd, 0.0, np.ones(sysd.grid.ncells))
 
 
 def test_two_inclusion_symmetry_split():
