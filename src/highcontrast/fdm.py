@@ -23,9 +23,13 @@ it as the first eigenvalue.  The operator of a 2D grid whose inclusion
 mask is mirror-symmetric, under a Dirichlet or Neumann closure, commutes
 with the grid reflections, so ``smallest_eigenpairs`` solves it one
 reflection sector at a time (even or odd in x, times even or odd in y)
-and merges the unfolded vectors: up to four quarter-size solves, three
-when a square grid's mask is also transpose-symmetric, since the two
-odd-by-even sectors are then each other's transpose.  A Bloch grid that
+and merges the unfolded vectors.  On a square grid whose mask is also
+transpose-symmetric, the two odd-by-even sectors are each other's
+transpose and share one solve, and the even-by-even and odd-by-odd
+sectors split again into transpose-even and transpose-odd halves.  A
+sector odd under a symmetry has, eigenvalue by eigenvalue, no lower
+spectrum than the even one it extends, so each sector is asked only for
+the pairs it can hold among the lowest.  A Bloch grid that
 the point reflection of the cell maps onto itself is solved as a real
 symmetric matrix (``real_form``).  A window (every eigenvalue up to
 lam_max, ``eigenpairs_below``) is sized by Sylvester's law of inertia, and
@@ -278,21 +282,23 @@ def augmented(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     the outer closure.  Eliminating the face dofs gives ``assemble``'s
     harmonic-mean matrix.
     """
+    return augmented_side(grid, inclusion=False), augmented_side(grid, inclusion=True)
+
+
+def augmented_side(grid: Grid, inclusion: bool) -> sp.csr_matrix:
+    """One side of ``augmented``: A1 if ``inclusion``, else A0."""
     t = grid.faces
     gamma, _ = interface_dofs(grid)
-    n, dofs, g = grid.ncells + gamma.size, grid.ncells + np.arange(gamma.size), grid.conductance
+    g = grid.conductance
     plain = np.nonzero(t.inclusion == 0)[0]
-    inside = grid.labels[t.cin[plain]] > 0
-
-    def side(faces, tied):
-        cout = t.cout[faces]
-        return face_matrix(n, np.concatenate([t.cin[faces], tied]),
-                           np.concatenate([cout, dofs]),
-                           np.concatenate([np.where(cout >= 0, g, 2 * g),
-                                           np.full(gamma.size, 2 * g)]),
-                           np.concatenate([t.phase[faces], np.ones(gamma.size)]))
-
-    return side(plain[~inside], t.cout[gamma]), side(plain[inside], t.cin[gamma])
+    faces = plain[(grid.labels[t.cin[plain]] > 0) == inclusion]
+    cout = t.cout[faces]
+    return face_matrix(grid.ncells + gamma.size,
+                       np.concatenate([t.cin[faces], (t.cin if inclusion else t.cout)[gamma]]),
+                       np.concatenate([cout, grid.ncells + np.arange(gamma.size)]),
+                       np.concatenate([np.where(cout >= 0, g, 2 * g),
+                                       np.full(gamma.size, 2 * g)]),
+                       np.concatenate([t.phase[faces], np.ones(gamma.size)]))
 
 
 @dataclass(frozen=True)
@@ -470,18 +476,56 @@ def _residuals(A: sp.spmatrix, root: np.ndarray, y: np.ndarray, w: np.ndarray) -
     return res
 
 
-def _axis_fold(n: int, sign: int):
-    """Per coordinate of one grid axis: its representative and its weight in
-    the reflection sector of ``sign``, and the number m of representatives.
-    A mirror pair c, n-1-c shares the representative min(c, n-1-c) with the
-    weights 1/sqrt 2 and sign/sqrt 2.  The middle coordinate of an odd axis
-    has weight 1, or 0 under sign -1; it is the last representative, so the
-    live ones are 0 .. m-1 either way."""
-    c = np.arange(n)
-    mirror = n - 1 - c
-    weight = np.where(c < mirror, 1.0, float(sign)) * np.sqrt(0.5)
-    weight[c == mirror] = float(sign > 0)
-    return np.minimum(c, mirror), weight, (n + 1) // 2 if sign > 0 else n // 2
+def _fold(c: np.ndarray, image: np.ndarray, sign: int):
+    """Representative min(c, image) of each coordinate c that an involution
+    swaps with ``image``, and the sign of c in the sector of ``sign`` (+1
+    even, -1 odd): 1 at the representative, ``sign`` at its image, and at a
+    fixed point 1, or 0 under sign -1 (the cell drops out of the sector)."""
+    fixed = np.where(c == image, int(sign > 0), sign)
+    return np.minimum(c, image), np.where(c < image, 1, fixed)
+
+
+def _sector(K: sp.csr_matrix, shape: tuple[int, int], signs: tuple[int, int], tsign: int = 0):
+    """(Q, Q^T K Q) of one symmetry sector of a 2D grid operator, Q the
+    sparse grid-by-sector matrix of orthonormal columns.  ``signs`` per axis
+    is +1 or -1 (even or odd under the mirror of that axis) or 0 (not
+    split); ``tsign`` likewise for the transposition of the square grid of
+    representatives.
+
+    The unknowns are the orbits of the group that keep a nonzero sign, each
+    represented by its first cell in grid order (sign +1).  Since K commutes
+    with the group, (Q^T K Q)_rs is |orbit r| g_r g_s times the signed sum
+    M_rs of row r of K over orbit s (g = |orbit|^-1/2): M is K's rows at the
+    representatives times the signed orbit indicator, whose sums add equal
+    entries only, so |orbit r| M_rs = |orbit s| M_sr holds bitwise and the
+    result is exactly symmetric."""
+    (nx, ny), (sx, sy) = shape, signs
+    x, y = np.arange(nx)[:, None], np.arange(ny)[None, :]
+    sign = np.ones(shape, dtype=int)
+    if sx:
+        x, t = _fold(x, nx - 1 - x, sx)
+        sign = sign * t
+    if sy:
+        y, t = _fold(y, ny - 1 - y, sy)
+        sign = sign * t
+    if tsign:
+        (x, t), y = _fold(x, y, tsign), np.maximum(x, y)
+        sign = sign * t
+    rep, sign = (x * ny + y).ravel(), sign.ravel()
+    live = sign != 0
+    cells = np.flatnonzero(live & (rep == np.arange(rep.size)))
+    index = np.zeros(rep.size, dtype=int)
+    index[cells] = np.arange(cells.size)
+    col, sgn = index[rep[live]], sign[live].astype(float)
+    orbit = np.bincount(col).astype(float)
+    g = 1.0 / np.sqrt(orbit)
+    indptr = np.concatenate([[0], np.cumsum(live)])
+    Q = sp.csr_matrix((sgn * g[col], col, indptr), shape=(rep.size, cells.size))
+    S = K[cells] @ sp.csr_matrix((sgn, col, indptr), shape=Q.shape)
+    S.sort_indices()        # once here, not in each copy the solver makes
+    row = np.repeat(np.arange(cells.size), np.diff(S.indptr))
+    S.data *= orbit[row] * (g[row] * g[S.indices])
+    return Q, S
 
 
 def label_reflection(labels: np.ndarray):
@@ -508,10 +552,11 @@ def real_form(A: sp.spmatrix, J: np.ndarray) -> sp.csr_matrix:
 
 
 def _reflection_sectors(opr: DiscreteOperator, k: int):
-    """The operator of each reflection sector of a grid, as (Q, Q^H K Q) with
-    Q the sparse grid-by-sector matrix of orthonormal columns; [(None, K)]
-    for one sector.  A sector listed as (Q, None) has the operator of the
-    sector before it.
+    """The symmetry sectors of a grid operator, as (Q, Q^H K Q, k_s): Q the
+    sparse grid-by-sector matrix of orthonormal columns and k_s the number
+    of pairs to ask of the sector when the whole grid asks for k;
+    [(None, K, k)] for one sector.  A sector listed with the operator None
+    has the pairs of the sector before it, moved by its Q.
 
     A Bloch grid whose labels the point reflection J maps onto themselves
     (``label_reflection``) is one real sector (W, ``real_form(K, J)``): J
@@ -521,17 +566,33 @@ def _reflection_sectors(opr: DiscreteOperator, k: int):
     Under a Dirichlet or Neumann closure, an axis of a 2D grid is split when
     the inclusion mask equals its own flip along it: the operator is built
     from that mask, the faces and the closure alone, so it commutes with the
-    reflection.  A 1D grid (its solves are O(n)) and a sector with no more
-    unknowns than ARPACK's Krylov space max(2k + 1, 20) keep one sector.
-
-    Since K commutes with the reflections, Q^T K Q is the rows of K at the
-    representative cells, times Q, times the square root of each orbit size.
+    reflection.  A 1D grid (its solves are O(n)) and a split that would
+    leave a piece with no more unknowns than ARPACK's Krylov space
+    max(2k + 1, 20) keep one sector.
 
     When both axes split, the grid is square and the mask equals its own
-    transpose, K also commutes with the transposition P: (i, j) -> (j, i)
-    (one h makes the x and y faces alike), and P maps the (even x, odd y)
-    sector onto the (odd x, even y) one.  That sector is then (P Q, None)
-    with Q of the (even x, odd y) sector: three solves, not four.
+    transpose, K also commutes with the transposition T: (i, j) -> (j, i)
+    (one h makes the x and y faces alike).  T maps the (even x, odd y)
+    sector onto the (odd x, even y) one, its twin, which reuses its solve.
+    The (even, even) and (odd, odd) sectors commute with the transposition
+    of their square grid of representatives, and each splits into a T-even
+    and a T-odd half.  No face joins a cell to the transpose of a
+    neighbour except through the diagonal, so the T-odd half is the T-even
+    one with its diagonal cells held at zero.
+
+    Each sector is asked only for the pairs it can hold among the k lowest.
+    A sector odd along an axis is the even one plus a positive semi-definite
+    diagonal on the cells next to the mirror (even n), or the even one with
+    its middle cell held at zero (odd n); a T-odd half is its T-even half
+    with the diagonal held at zero.  By Courant-Fischer its j-th eigenvalue
+    is then at least the j-th of each sector it so dominates.  Let d be the
+    number of sectors in D(s): s itself, the sectors whose odd axes are a
+    subset of its own, and its twin.  If s held more than ceil(k / d)
+    values at or below the k-th eigenvalue, so would every sector of D(s),
+    and their asked pairs alone would be d ceil(k / d) >= k of them: so s
+    is asked for ceil(k / d), and a T-odd half for ceil(k_s / 2) when its
+    T-even half is asked for k_s.  Not the floor: with k = 5, sectors
+    (even, even) {1, 5, 6, ..} and (even, odd) {5, 5, ..} would give 6.
     """
     grid, K = opr.grid, opr.K
     if opr.bc.kind == "bloch" and label_reflection(grid.labels) is not None:
@@ -539,33 +600,34 @@ def _reflection_sectors(opr: DiscreteOperator, k: int):
         J = cells[::-1]
         W = sp.csr_matrix((np.repeat([0.5 + 0.5j, 0.5 - 0.5j], cells.size),
                            (np.tile(cells, 2), np.concatenate([cells, J]))), shape=K.shape)
-        return [(W, real_form(K, J))]
+        return [(W, real_form(K, J), k)]
     if grid.dim != 2 or opr.bc.kind not in ("dirichlet", "neumann"):
-        return [(None, K)]
+        return [(None, K, k)]
     mask = grid.labels.reshape(grid.shape) > 0
-    ncv, size, folds = max(2 * k + 1, 20), grid.ncells, []
+    ncv, size, signs = max(2 * k + 1, 20), grid.ncells, []
     for ax, n in enumerate(grid.shape):
-        if np.array_equal(mask, np.flip(mask, ax)) and size // n * (n // 2) > ncv:
-            size = size // n * (n // 2)
-            folds.append([_axis_fold(n, 1), _axis_fold(n, -1)])
-        else:
-            folds.append([(np.arange(n), np.ones(n), n)])
+        split = np.array_equal(mask, np.flip(mask, ax)) and size // n * (n // 2) > ncv
+        size = size // n * (n // 2) if split else size
+        signs.append((1, -1) if split else (0,))
     if size == grid.ncells:
-        return [(None, K)]
-    # array_equal is False for the transpose of a non-square mask
-    transpose = len(folds[0]) == len(folds[1]) == 2 and np.array_equal(mask, mask.T)
+        return [(None, K, k)]
+    # array_equal is False for the transpose of a non-square mask; the
+    # smallest T-odd half has m (m - 1) / 2 unknowns, m = n // 2
+    m = grid.shape[0] // 2
+    transpose = (len(signs[0]) == len(signs[1]) == 2 and np.array_equal(mask, mask.T)
+                 and m * (m - 1) // 2 > ncv)
     sectors = []
-    for (rx, qx, mx), (ry, qy, my) in itertools.product(*folds):
-        if transpose and len(sectors) == 2:     # (odd x, even y) after (even x, odd y)
+    for sx, sy in itertools.product(*signs):
+        d = 2 ** ((sx < 0) + (sy < 0)) + (transpose and sx != sy)
+        ks = -(-k // d)
+        if transpose and sx != sy and sx < 0:       # the twin of (even x, odd y)
             swap = np.arange(grid.ncells).reshape(grid.shape).T.ravel()
-            sectors.append((sectors[1][0][swap], None))
-            continue
-        q = np.outer(qx, qy).ravel()
-        live = np.flatnonzero(q)
-        rep = np.add.outer(rx * my, ry).ravel()[live]
-        Q = sp.csr_matrix((q[live], (live, rep)), shape=(grid.ncells, mx * my))
-        cells = np.add.outer(np.arange(mx) * grid.shape[1], np.arange(my)).ravel()
-        sectors.append((Q, sp.diags(1.0 / q[cells]) @ (K[cells] @ Q)))
+            sectors.append((sectors[-1][0][swap], None, ks))
+        elif transpose and sx == sy:
+            sectors.append((*_sector(K, grid.shape, (sx, sy), 1), ks))
+            sectors.append((*_sector(K, grid.shape, (sx, sy), -1), -(-ks // 2)))
+        else:
+            sectors.append((*_sector(K, grid.shape, (sx, sy)), ks))
     return sectors
 
 
@@ -574,19 +636,21 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     dropped and the ``count`` after it returned.  A Bloch grid at phase 1
     keeps its zero eigenvalue as the first.
 
-    A mirror-symmetric 2D grid is solved one reflection sector at a time
+    A mirror-symmetric 2D grid is solved one symmetry sector at a time
     (even or odd in x, times even or odd in y; see ``_reflection_sectors``):
-    each sector asks the count-mode solver for as many pairs as the whole
-    grid would, its vectors are unfolded onto the grid with a signed
-    gather, and the smallest of all are kept.  A double eigenvalue that the
-    symmetry causes lands in two sectors, so no single Lanczos run has to
-    resolve it, and each sector factors a quarter-size matrix.  That is up
-    to four solves, three when the mask is also transpose-symmetric on a
-    square grid: the two odd-by-even sectors are each other's transpose, so
-    one solve gives both.  An inversion-symmetric Bloch grid is one real
-    sector.  Other grids are one sector.  Unfolded pairs pass the residual
-    gate again on the full grid.  The eigenvalues are the Rayleigh quotients
-    of the solver: the quotient on a sector is the quotient on the full grid.
+    each sector asks the count-mode solver only for the pairs it can hold
+    among the lowest, its vectors are unfolded onto the grid, and the
+    smallest of all are kept.  A double eigenvalue that the symmetry causes
+    lands in two sectors, so no single Lanczos run has to resolve it, and
+    each sector factors a quarter-size matrix or less.  That is up to four
+    solves; five on a square grid whose mask is also transpose-symmetric:
+    the two odd-by-even sectors are each other's transpose, so one solve
+    gives both, and the even-by-even and odd-by-odd sectors each split into
+    a transpose-even and a transpose-odd half.  An inversion-symmetric
+    Bloch grid is one real sector.  Other grids are one
+    sector.  Unfolded pairs pass the residual gate again on the full grid.
+    The eigenvalues are the Rayleigh quotients of the solver: the quotient
+    on a sector is the quotient on the full grid.
     """
     if not 1 <= count < opr.dimension - 1:
         raise ValueError("count must be >= 1 and small relative to the dimension")
@@ -595,9 +659,9 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     k_ask = count + 1 if neumann else count
     sectors = _reflection_sectors(opr, k_ask)
     lams, vecs = [], []
-    for Q, Ks in sectors:
+    for Q, Ks, ks in sectors:
         if Ks is not None:      # else the pairs of the sector before, moved by Q
-            w, y, res = shift_invert_eigenpairs(Ks, np.full(Ks.shape[0], vol), k_ask)
+            w, y, res = shift_invert_eigenpairs(Ks, np.full(Ks.shape[0], vol), ks)
         lams.append(w)
         vecs.append(y if Q is None else Q @ y)
     w = np.concatenate(lams)

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
-from .fdm import (augmented, build_grid, check_constant_mode, count_below,
+from .fdm import (augmented_side, build_grid, check_constant_mode, count_below,
                   eigenpairs_below, face_phase, factor, interface_dofs, label_reflection,
                   real_form)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
@@ -163,7 +163,7 @@ def build_exterior(medium: ContrastMedium, n: int = None) -> ExteriorSystem:
     spread = np.concatenate([grid.labels, incl_of]) + idx_out.size - 1
     spread[idx_out] = np.arange(idx_out.size)
     P = sp.csr_matrix((np.ones(spread.size), (np.arange(spread.size), spread)))
-    A0, _ = augmented(grid)
+    A0 = augmented_side(grid, inclusion=False)
     mass = grid.cell_volume * np.concatenate([np.ones(idx_out.size),
                                               np.bincount(grid.labels)[1:]])
     return ExteriorSystem(medium, grid, idx_out, (P.T @ A0 @ P).tocsc(), mass)

@@ -308,22 +308,30 @@ def split_cases():
         "wide": ContrastMedium(wide, 1e-2, BoundaryKind.dirichlet()),
         "corners": med2d(1e-2, h=1 / 64, rects=CORNERS),
         "rect": med2d(1e-2, h=1 / 64, rects=((0.25, 0.75, 0.375, 0.625),)),
+        # eps = 1 is the uniform square: its doubles tie exactly across sectors
+        **{f"centred-{eps:g}{'-' + bc.kind if bc.kind == 'neumann' else ''}":
+           med2d(eps, h=1 / 32, bc=bc)
+           for eps in (1.0, 1e-2) for bc in (BoundaryKind.dirichlet(), BoundaryKind.neumann())},
     }
 
 
-# sector solves per case: the two odd-by-even sectors of a square grid with a
-# transpose-symmetric mask are one solve
-SECTOR_SOLVES = {"dirichlet": 3, "neumann": 3, "odd": 3, "wide": 4, "corners": 3, "rect": 4}
+# sector solves per case: on a square grid with a transpose-symmetric mask the
+# two odd-by-even sectors are one solve, and the even-by-even and odd-by-odd
+# sectors are each two (transpose-even and transpose-odd halves)
+SECTOR_SOLVES = {"dirichlet": 5, "neumann": 5, "odd": 5, "wide": 4, "corners": 5, "rect": 4,
+                 "centred-1": 5, "centred-1-neumann": 5, "centred-0.01": 5,
+                 "centred-0.01-neumann": 5}
+CENTRED = [case for case in SECTOR_SOLVES if case.startswith("centred")]
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts the shift-invert solves a call makes."""
+    """The (unknowns, pairs asked) of each shift-invert solve a call makes."""
     calls = []
     inner = fdm.shift_invert_eigenpairs
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape[0])
+        calls.append((args[0].shape[0], args[2]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(fdm, "shift_invert_eigenpairs", counted)
@@ -352,7 +360,8 @@ class TestReflectionSectors:
         opr = fdm.assemble(split_cases()[case])
         neumann = opr.bc.kind == "neumann"
         res = fdm.smallest_eigenpairs(opr, 6)
-        assert len(solves) == SECTOR_SOLVES[case] and max(solves) <= opr.dimension // 2
+        assert len(solves) == SECTOR_SOLVES[case]
+        assert max(size for size, _ in solves) <= opr.dimension // 2
         vol = opr.grid.cell_volume
         ref = fdm.shift_invert_eigenpairs(opr.K, np.full(opr.dimension, vol),
                                           7 if neumann else 6)[0]
@@ -371,12 +380,50 @@ class TestReflectionSectors:
     def test_asymmetric_mask_and_bloch_closure_run_one_sector(self, med, solves, solved_dtypes):
         opr = fdm.assemble(med)
         fdm.smallest_eigenpairs(opr, 4)
-        assert solves == [opr.dimension]
+        assert solves == [(opr.dimension, 4)]
         # under Bloch the centred square is solved in its real form, the
         # off-centre rectangle as the complex operator itself
         mask = med.geometry.mask
         centred = np.array_equal(mask, mask[::-1, ::-1])
         assert solved_dtypes == [complex if med.bc.kind == "bloch" and not centred else float]
+
+    @pytest.mark.parametrize("case", CENTRED)
+    def test_every_count_matches_the_unsplit_solve(self, case):
+        # each sector is asked only for the pairs it can hold; ties across
+        # sectors (the uniform square's doubles) must keep every copy
+        opr = fdm.assemble(split_cases()[case])
+        neumann = opr.bc.kind == "neumann"
+        ref = sla.eigvalsh(opr.K.toarray())[neumann:neumann + 11] / opr.grid.cell_volume
+        for count in range(1, 12):
+            w = fdm.smallest_eigenpairs(opr, count).eigenvalues
+            assert np.allclose(w, ref[:count], rtol=1e-9, atol=0), count
+
+    @pytest.mark.parametrize("case, plan", [
+        ("dirichlet", [(528, 6), (496, 3), (1024, 2), (528, 2), (496, 1)]),
+        # Neumann asks for count + 1 = 7 pairs: ceil(7 / 2), ceil(7 / 3), ceil(7 / 4)
+        ("neumann", [(300, 7), (276, 4), (576, 3), (300, 2), (276, 1)])])
+    def test_each_sector_is_asked_only_for_what_it_can_hold(self, case, plan, solves):
+        # (even, even) halves, (even, odd) with its twin, (odd, odd) halves
+        fdm.smallest_eigenpairs(fdm.assemble(split_cases()[case]), 6)
+        assert solves == plan
+
+    @pytest.mark.parametrize("case", list(SECTOR_SOLVES))
+    def test_sector_operators_are_exactly_symmetric(self, case):
+        opr = fdm.assemble(split_cases()[case])
+        K = opr.K
+        for Q, S, _ in fdm._reflection_sectors(opr, 7):
+            if S is not None:
+                assert (S != S.T).nnz == 0
+                assert abs(Q.T @ K @ Q - S).max() <= 1e-14 * abs(K).max()
+
+    @pytest.mark.parametrize("case", ["dirichlet", "neumann", "odd", "corners"])
+    def test_even_and_odd_sectors_commute_with_the_transpose(self, case):
+        opr = fdm.assemble(split_cases()[case])
+        n = opr.grid.shape[0]
+        for sign, m in ((1, (n + 1) // 2), (-1, n // 2)):
+            S = fdm._sector(opr.K, opr.grid.shape, (sign, sign))[1]
+            P = np.arange(m * m).reshape(m, m).T.ravel()
+            assert S.shape == (m * m, m * m) and (S[P][:, P] != S).nnz == 0
 
     def test_each_copy_of_a_double_comes_from_its_own_sector(self):
         opr = fdm.assemble(med2d(1e-3, h=1 / 64))

@@ -4,6 +4,7 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from highcontrast import dtn, exact1d, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
@@ -215,7 +216,6 @@ def test_effective_resolvent_against_contrast_solves():
     for eps in (0.02, 0.01, 0.005):
         opr = fdm.assemble(m.with_epsilon(eps), n)
         import scipy.sparse.linalg as spla
-        import scipy.sparse as sp
         A = (opr.K + 1.0 * opr.grid.cell_volume *
              sp.identity(n)).tocsc()           # (A_eps - z) with z = -1
         ue = spla.splu(A).solve(opr.grid.cell_volume * f)
@@ -251,3 +251,22 @@ def test_complex_limit_solve_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("m, n", [
+    (med(BoundaryKind.dirichlet(), TWO), 400),
+    (med(BoundaryKind.bloch(0.7), TWO), 400),
+    *[(ContrastMedium(Geometry2D(1.0, 1.0, 1 / 32, rectangles_to_mask(1.0, 1.0, 1 / 32, rects)),
+                      0.0, bc), None)
+      for rects in ([(0.25, 0.75, 0.25, 0.75)], [(0.125, 0.375, 0.125, 0.375),
+                                                 (0.625, 0.875, 0.5, 0.75)])
+      for bc in (BoundaryKind.dirichlet(), BoundaryKind.neumann(), BoundaryKind.bloch((0.7, 0.3)))]])
+def test_pencil_is_the_exterior_view_of_the_augmented_operator(m, n):
+    # build_exterior forms only A0; its pencil is P^T A0 P with A0 of fdm.augmented
+    ext = limitspec.build_exterior(m, n)
+    grid, nE = ext.grid, ext.idx_out.size
+    A0, _ = fdm.augmented(grid)
+    spread = np.concatenate([grid.labels, fdm.interface_dofs(grid)[1]]) + nE - 1
+    spread[ext.idx_out] = np.arange(nE)
+    P = sp.csr_matrix((np.ones(spread.size), (np.arange(spread.size), spread)))
+    assert (ext.A != (P.T @ A0 @ P).tocsc()).nnz == 0
