@@ -3,15 +3,16 @@
 The substitution v = r u turns the radial operator into a 1D problem, so
 the limit eigenvalues solve a closed transcendental equation.  Three
 independent routes are compared: bisection on the closed form, a
-generalized eigensolve of the r^2-weighted grid operator at finite
-contrast, and a root scan of the discrete interface-flux function.
+generalized eigensolve of the radial grid operator (face measure r^2,
+cell mass the integral of r^2) at finite contrast, and the eps = 0 limit
+pencil of the same grid: the exterior cells plus one constant for the
+ball.
 
 Run:  python3 demos/sphere_in_ball.py
 """
 
-import numpy as np
-
-from highcontrast import radial3d
+from highcontrast import limitspec, radial3d
+from highcontrast.geometry import BoundaryKind, ContrastMedium, RadialGeometry
 
 A = 0.5
 LAM_MAX = 80.0
@@ -29,8 +30,9 @@ for eps in (1e-2, 1e-3, 1e-4):
     devs = [abs(wi - li) / li for wi, (li, _u) in zip(w, pairs)]
     print(f"  eps = {eps:7.0e}   worst relative deviation {max(devs):.2e}")
 
-roots = radial3d.sphere_det_scan(A, LAM_MAX, 2000)
-print("\ndiscrete flux-equation roots vs closed form:")
+medium = ContrastMedium(RadialGeometry(A), 0.0, BoundaryKind.dirichlet())
+roots = limitspec.limit_spectrum(medium, LAM_MAX, 2000).eigenvalues
+print("\nlimit pencil eigenvalues (n = 2000) vs closed form:")
 for r, (lam, _u) in zip(roots, pairs):
     print(f"  {r:.9f}   (closed form {lam:.9f}, rel {abs(r - lam) / lam:.1e})")
 

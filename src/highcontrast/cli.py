@@ -24,7 +24,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from . import bloch, dtn, exact1d, fdm, limitspec, radial3d
-from .geometry import (ContrastMedium, Geometry1D, Geometry2D, GeometryError,
+from .geometry import (ContrastMedium, Geometry1D, GeometryError,
                        RadialGeometry, medium_from_config)
 
 __all__ = ["main", "load_config", "run_spectrum", "run_limit", "run_dispersion",
@@ -37,6 +37,9 @@ EXIT_VALIDATION = 4
 
 #: Smallest contrast ``converge`` accepts; grid spectra below it are rounding noise.
 EPS_FLOOR = 1e-6
+#: Relative fall of a ``converge`` branch, as eps falls, that fails it (the
+#: bound the benchmark's dispersion check puts on its rows).
+FALL_TOL = 1e-9
 
 _MEDIUM_SCHEMA = {
     "type": "object",
@@ -104,13 +107,16 @@ def _medium(cfg: dict) -> ContrastMedium:
 
 
 def _grid_n(cfg: dict, medium: ContrastMedium):
-    """Cell count for 1D grids, from the medium's h entry (None elsewhere)."""
+    """Cell count for 1D and radial grids, from the medium's h entry (radial
+    default 1e-3); None for 2D, whose geometry holds its grid."""
     geom = medium.geometry
     if isinstance(geom, Geometry1D):
         h = cfg["medium"].get("h")
         if h is None:
             raise ConfigError("1D grid tasks need 'h' in the medium config")
         return int(round((geom.x_hi - geom.x_lo) / h))
+    if isinstance(geom, RadialGeometry):
+        return int(round(1.0 / cfg["medium"].get("h", 1e-3)))
     return None
 
 
@@ -140,17 +146,8 @@ def _fmt_cell(x):
 
 
 def _eigenpairs(med: ContrastMedium, cfg: dict, count: int):
-    """The ``count`` smallest eigenpairs of the configured grid operator.
-
-    Returns (eigenvalues, vectors, residuals, labels, h): the r^2-weighted
-    radial operator for radial media, the finite-volume grid otherwise.
-    """
-    geom = med.geometry
-    if isinstance(geom, RadialGeometry):
-        n = int(round(1.0 / cfg["medium"].get("h", 1e-3)))
-        opr = radial3d.radial_operator(geom.a, med.epsilon, n, bc=med.bc.kind)
-        w, v, res = radial3d.radial_eigenpairs(opr, count)
-        return w, v, res, opr.labels, opr.h
+    """The ``count`` smallest eigenpairs of the configured grid operator:
+    (eigenvalues, vectors, residuals, labels, h)."""
     opr = fdm.assemble(med, _grid_n(cfg, med))
     result = fdm.smallest_eigenpairs(opr, count)
     return (result.eigenvalues, result.eigenvectors, result.residuals,
@@ -170,7 +167,7 @@ def run_limit(cfg: dict, out: str, fmt: str = "csv") -> dict:
     med = _medium(cfg)
     lam_max = cfg.get("lambda_max", 50.0)
     geom = med.geometry
-    if isinstance(geom, RadialGeometry):
+    if _closed_form_sphere(med):
         pairs, _ = radial3d.sphere_limit_spectrum(geom.a, lam_max)
         rows = [("constant_trace", float(l), 1.0,
                  abs(radial3d.sphere_char(geom.a, l)), 0.0) for l, _f in pairs]
@@ -202,8 +199,7 @@ def run_dispersion(cfg: dict, out: str, fmt: str = "csv") -> dict:
         raise ConfigError("dispersion needs a k_grid")
     eps_list = cfg.get("eps_list", [0.0, med.epsilon] if med.epsilon > 0 else [0.0])
     branch_count = cfg.get("branch_count", 2)
-    n = _grid_n(cfg, med) if isinstance(med.geometry, Geometry1D) else None
-    bands = bloch.dispersion_sweep(med, k_grid, branch_count, eps_list, n)
+    bands = bloch.dispersion_sweep(med, k_grid, branch_count, eps_list, _grid_n(cfg, med))
     rows = [(p.k, p.eps, p.branch, p.lam, p.omega) for p in bands.points()]
     _emit(rows, "k,epsilon,branch,lambda,omega",
           os.path.join(out, "bands.csv"), fmt)
@@ -213,9 +209,15 @@ def run_dispersion(cfg: dict, out: str, fmt: str = "csv") -> dict:
     return {"crossings": list(bands.crossings), "gaps": gap_rows}
 
 
+def _closed_form_sphere(med: ContrastMedium) -> bool:
+    """Whether ``radial3d``'s closed form covers the medium: the ball under
+    the Dirichlet closure at r = 1."""
+    return isinstance(med.geometry, RadialGeometry) and med.bc.kind == "dirichlet"
+
+
 def _limit_reference(med: ContrastMedium, cfg: dict, lam_max: float) -> np.ndarray:
     geom = med.geometry
-    if isinstance(geom, RadialGeometry):
+    if _closed_form_sphere(med):
         pairs, _ = radial3d.sphere_limit_spectrum(geom.a, lam_max)
         return np.array([l for l, _f in pairs])
     if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):
@@ -231,7 +233,10 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
     The sweep must be geometric with ratio <= 1/2, have at least 4 points
     and stay at or above EPS_FLOOR.  Divergent (inclusion-dominated)
     branches are detected by growth along the sweep and excluded from
-    extrapolation.
+    extrapolation.  A branch that falls as eps falls by more than
+    ``FALL_TOL`` relative (``falls`` in its entry) is not passed: the
+    stiffness grows as eps falls at a fixed mass, so every exact
+    eigenvalue rises, and a fall is rounding noise larger than the signal.
     """
     med = _medium(cfg)
     eps_list = sorted(cfg.get("eps_list", [1e-1, 1e-2, 1e-3, 1e-4]), reverse=True)
@@ -263,7 +268,9 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
         lam = table[:, j]
         growth = lam[-1] / lam[0] if lam[0] > 0 else np.inf
         divergent = bool(growth > 5.0 or np.any(lam[1:] / lam[:-1] > 5.0))
-        entry = {"branch": j + 1, "lambda": lam.tolist(), "divergent": divergent}
+        falls = bool(np.any(lam[:-1] - lam[1:] > FALL_TOL * np.abs(lam[1:])))
+        entry = {"branch": j + 1, "lambda": lam.tolist(), "divergent": divergent,
+                 "falls": falls}
         if not divergent:
             coef = np.polyfit(eps_arr, lam, 1)
             resid = float(np.max(np.abs(np.polyval(coef, eps_arr) - lam)))
@@ -279,6 +286,8 @@ def run_converge(cfg: dict, out: str, fmt: str = "csv") -> dict:
                                          <= max(5.0 * resid, grid_tol)))
             Cfit = np.polyfit(eps_arr, flatness[:, j], 1)[0]
             entry["flatness_C"] = float(Cfit)
+        if falls:
+            entry["passed"] = False
         branches.append(entry)
 
     if fmt == "csv":   # a JSON table would take the report's name; the report holds it
@@ -303,53 +312,57 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
     """Geometry-appropriate subset of the acceptance checks; verdict JSON."""
     med = _medium(cfg)
     geom = med.geometry
-    checks = []
+    n = _grid_n(cfg, med)
+    # the reduction is contrast-free, so one system serves every check and
+    # contrast below; a failed build fails each check that uses it
+    try:
+        shared = dtn.build_dtn(med, n)
+    except Exception as exc:                       # failures are data here
+        shared = exc
 
-    if isinstance(geom, (Geometry1D, Geometry2D)):
-        n = _grid_n(cfg, med) if isinstance(geom, Geometry1D) else None
-        # the reduction is contrast-free, so one system serves every check
-        # and contrast below; a failed build fails each check that uses it
-        try:
-            shared = dtn.build_dtn(med, n)
-        except Exception as exc:                   # failures are data here
-            shared = exc
+    def dtn_system():
+        if isinstance(shared, Exception):
+            raise shared
+        return shared
 
-        def dtn_system():
-            if isinstance(shared, Exception):
-                raise shared
-            return shared
+    def dtn_identity():
+        sysd = dtn_system()
+        # mass-weighted mean zero, so solvable where the constants span the kernel
+        mass = sysd.grid.mass
+        f = np.where(sysd.grid.labels > 0, 1.0, 0.5)
+        f = f - mass @ f / np.sum(mass)
+        worst = 0.0
+        for eps in (1e-1, 1e-3):
+            u, _tr = dtn.apply_Bhat(sysd, eps, f)
+            u2 = fdm.solve(fdm.assemble(med.with_epsilon(eps), n), f)
+            worst = max(worst, float(np.max(np.abs(u - u2))))
+        return worst < 1e-10, f"max deviation {worst:.2e}"
 
-        def dtn_identity():
-            sysd = dtn_system()
-            # mean-zero, so solvable where the constants span the kernel
-            f = np.where(sysd.grid.labels > 0, 1.0, 0.5)
-            f = f - np.mean(f)
-            worst = 0.0
-            for eps in (1e-1, 1e-3):
-                u, _tr = dtn.apply_Bhat(sysd, eps, f)
-                u2 = fdm.solve(fdm.assemble(med.with_epsilon(eps), n), f)
-                worst = max(worst, float(np.max(np.abs(u - u2))))
-            return worst < 1e-10, f"max deviation {worst:.2e}"
-        checks.append(("dtn_identity", dtn_identity))
-
-        def np11_negative():
-            sysd = dtn_system()
-            # a zero source only asks whether the constants span the kernel
-            if not fdm.check_solvable(med.bc, sysd.grid, np.zeros(sysd.grid.ncells)):
-                ev = np.linalg.eigvalsh(sysd.Np11)
-                return bool(ev.max() < 0), f"largest constants-block eigenvalue {ev.max():.4f}"
-            # the constants span the kernel: Np11 1_m = 0, Np11 < 0 off 1_m.  Np
-            # is 0 where each exterior piece ends at a Neumann wall (1D), so
-            # the kernel is measured against both flux maps
-            ones = np.ones((sysd.n_inclusions, 1))
-            Q = np.linalg.qr(ones, mode="complete")[0][:, 1:]
-            ev = np.linalg.eigvalsh(Q.T @ sysd.Np11 @ Q)
-            kernel = float(np.max(np.abs(sysd.Np11 @ ones)))
+    def np11_negative():
+        sysd = dtn_system()
+        # a zero source only asks whether the constants span the kernel
+        if not fdm.check_solvable(med.bc, sysd.grid, np.zeros(sysd.grid.ncells)):
+            ev = np.linalg.eigvalsh(sysd.Np11)
+            return bool(ev.max() < 0), f"largest constants-block eigenvalue {ev.max():.4f}"
+        # the constants span the kernel: Np11 1_m = 0, Np11 < 0 off 1_m.  Np
+        # is 0 where each exterior piece ends at a Neumann wall (1D), so
+        # the kernel is measured against both flux maps.  Where each
+        # inclusion has one interface face (the radial ball), both maps are
+        # their constants block and 0 up to rounding: then the kernel is
+        # measured against the half-cell ties the maps are formed from
+        ones = np.ones((sysd.n_inclusions, 1))
+        Q = np.linalg.qr(ones, mode="complete")[0][:, 1:]
+        ev = np.linalg.eigvalsh(Q.T @ sysd.Np11 @ Q)
+        kernel = float(np.max(np.abs(sysd.Np11 @ ones)))
+        if sysd.n_faces > sysd.n_inclusions:
             scale = max(np.max(np.abs(sysd.Nm)), np.max(np.abs(sysd.Np)))
-            top = f"{ev.max():.4f}" if ev.size else "none"
-            return (bool(kernel <= 1e-10 * scale and np.all(ev < 0)),
-                    f"|Np11 1_m| {kernel:.2e}; largest eigenvalue off 1_m {top}")
-        checks.append(("exterior_constants_negative", np11_negative))
+        else:
+            scale = 2.0 / sysd.grid.h * np.max(sysd.grid.faces.area[sysd.gamma_faces])
+        top = f"{ev.max():.4f}" if ev.size else "none"
+        return (bool(kernel <= 1e-10 * scale and np.all(ev < 0)),
+                f"|Np11 1_m| {kernel:.2e}; largest eigenvalue off 1_m {top}")
+
+    checks = [("dtn_identity", dtn_identity), ("exterior_constants_negative", np11_negative)]
 
     if isinstance(geom, Geometry1D) and med.bc.kind in ("dirichlet", "neumann"):
         def limit_match():
@@ -362,12 +375,14 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
             return worst < 1e-3, f"worst relative deviation {worst:.2e}"
         checks.append(("limit_matches_exact", limit_match))
 
-    if isinstance(geom, RadialGeometry):
+    if _closed_form_sphere(med):
         def sphere_checks():
             pairs, s1 = radial3d.sphere_limit_spectrum(geom.a, 80.0)
-            roots = radial3d.sphere_det_scan(geom.a, 80.0, 2000)
-            worst = max(abs(r - p[0]) / p[0] for r, p in zip(roots, pairs))
-            return (s1 == () and worst < 1e-3), f"det-scan deviation {worst:.2e}"
+            got = limitspec.limit_spectrum(med.with_epsilon(0.0), 80.0, n).eigenvalues
+            if got.size != len(pairs):
+                return False, f"{got.size} pencil eigenvalues, {len(pairs)} closed-form roots"
+            worst = max(abs(g - p[0]) / p[0] for g, p in zip(got, pairs))
+            return (s1 == () and worst < 1e-3), f"pencil deviation {worst:.2e}"
         checks.append(("sphere_limit", sphere_checks))
 
     results = [_check(name, fn) for name, fn in checks]

@@ -130,13 +130,13 @@ class DtNSystem:
 
     def Mm(self, f_minus: np.ndarray) -> np.ndarray:
         """Source-to-flux map of the interior problem (zero trace)."""
-        vol = self.grid.cell_volume
-        return self._K_IG.T.conj() @ self._in_solve(vol * np.asarray(f_minus))
+        mass = self.grid.mass[self._idx_in]
+        return self._K_IG.T.conj() @ self._in_solve(mass * np.asarray(f_minus))
 
     def Mp(self, f_plus: np.ndarray) -> np.ndarray:
         """Source-to-flux map of the exterior problem (zero trace, outer bc)."""
-        vol = self.grid.cell_volume
-        return -(self._K_EG.T.conj() @ self._out_solve(vol * np.asarray(f_plus)))
+        mass = self.grid.mass[self._idx_out]
+        return -(self._K_EG.T.conj() @ self._out_solve(mass * np.asarray(f_plus)))
 
     def epsilon_max(self) -> float:
         """Computable surrogate for the admissible contrast range:
@@ -208,11 +208,14 @@ def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
     # orthonormal basis of the per-inclusion zero-mean subspace: columns
     # 2..n_i of the Householder reflector I - 2 v v^T / v^T v that maps e_1 to
     # the unit constant 1/sqrt(n_i) (v = e_1 - 1/sqrt(n_i)), no factorization;
-    # an inclusion has at least 2 interface faces in 1D and 4 in 2D
+    # an inclusion has at least 2 interface faces in 1D and 4 in 2D, and the
+    # radial ball one, with no zero-mean part
     counts = np.bincount(incl_of, minlength=m + 1)[1:]
     Z = np.zeros((nG, nG - m))
     col = 0
     for i, ni in enumerate(counts, start=1):
+        if ni == 1:
+            continue
         v = np.full(ni, -1.0 / np.sqrt(ni))
         v[0] += 1.0
         Z[incl_of == i, col:col + ni - 1] = (np.eye(ni)[:, 1:]
@@ -284,13 +287,13 @@ def apply_Bhat(sys: DtNSystem, eps: float, f: np.ndarray):
     grounded = check_solvable(sys.medium.bc, sys.grid, f)
     tr = solve_block_system(sys, eps, f)
     f_in, f_out = f[sys._idx_in], f[sys._idx_out]
-    vol = sys.grid.cell_volume
+    mass = sys.grid.mass
     u = np.zeros(sys.grid.ncells, dtype=sys.Nm.dtype)
-    u[sys._idx_in] = (sys._in_solve(eps * vol * f_in - sys._K_IG @ tr.values) if eps
-                      else tr.constants[sys.grid.labels[sys._idx_in] - 1])
-    u[sys._idx_out] = sys._out_solve(vol * f_out - sys._K_EG @ tr.values)
+    u[sys._idx_in] = (sys._in_solve(eps * mass[sys._idx_in] * f_in - sys._K_IG @ tr.values)
+                      if eps else tr.constants[sys.grid.labels[sys._idx_in] - 1])
+    u[sys._idx_out] = sys._out_solve(mass[sys._idx_out] * f_out - sys._K_EG @ tr.values)
     if grounded:
-        mean = np.mean(u)
+        mean = mass @ u / np.sum(mass)
         u, tr = u - mean, TraceFunction(tr.values - mean, tr.constants - mean, tr.perp)
     return u, tr
 

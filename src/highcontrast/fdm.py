@@ -5,7 +5,12 @@ mean of the two adjacent cell coefficients divided by the cell spacing
 (times the face measure), which keeps the matrix symmetric and makes the
 discrete flux continuous across interfaces.  Outer closures: eliminated
 Dirichlet faces (half-cell distance), natural Neumann faces, and
-phase-twisted periodic wrap faces for Bloch conditions.
+phase-twisted periodic wrap faces for Bloch conditions.  Each face
+carries its measure and each cell its mass, so one grid type holds the
+uniform 1D and 2D grids and the radial sector of the ball (face measure
+r^2, cell mass the integral of r^2): every operator below serves all
+three.  Where the constants span the kernel, a source is solvable when
+its mass-weighted sum vanishes.
 
 Grids must align inclusion interfaces with cell faces; this is what makes
 the discrete interface set unambiguous.  ``augmented`` adds one dof per
@@ -47,7 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import (BoundaryKind, ContrastMedium, Geometry1D, Geometry2D,
-                       GeometryError)
+                       GeometryError, RadialGeometry)
 
 __all__ = [
     "DiscreteOperator",
@@ -95,18 +100,20 @@ class FaceTable:
     boundary faces.  ``inclusion`` is the interface label (0 if not an
     interface face) with ``cin`` on the inclusion side; ``phase`` is the
     Bloch factor on wrap faces and 1 elsewhere (complex only under Bloch
-    conditions).
+    conditions); ``area`` is the face measure: 1 in 1D, h in 2D, r^2 on
+    the radial grid.
     """
 
     cin: np.ndarray
     cout: np.ndarray
     inclusion: np.ndarray
     phase: np.ndarray
+    area: np.ndarray
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Flat cell grid shared by 1D and 2D assemblies."""
+    """Flat cell grid shared by the 1D, 2D and radial assemblies."""
 
     dim: int
     h: float
@@ -114,6 +121,7 @@ class Grid:
     centers: np.ndarray         # (ncells,) or (ncells, 2)
     faces: FaceTable
     shape: tuple[int, ...]
+    mass: np.ndarray            # cell measure: h^dim, or the integral of r^2 radially
 
     @property
     def ncells(self) -> int:
@@ -121,12 +129,8 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
+        """h^dim, the cell mass of a uniform grid."""
         return self.h**self.dim
-
-    @property
-    def conductance(self) -> float:
-        """Conductance of a face between two cells at unit coefficient: measure / h."""
-        return 1.0 / self.h * self.h**(self.dim - 1)
 
     def interface_faces(self, i: int) -> np.ndarray:
         """Face-table indices of the interface of inclusion i."""
@@ -137,12 +141,13 @@ class Grid:
 
 
 def _face_table(labels: np.ndarray, shape: tuple[int, ...], bc: BoundaryKind,
-                lengths: tuple[float, ...]) -> FaceTable:
+                lengths: tuple[float, ...], area: float) -> FaceTable:
     """Faces of a cell grid of the given shape, by slicing its index array.
 
     Per axis: the faces between neighbouring cells, then the outer closure
     (one Dirichlet face per boundary cell, or one wrap face from the last
-    to the first cell with phase exp(-i k L)).
+    to the first cell with phase exp(-i k L)).  Every face gets the
+    measure ``area``.
     """
     idx = np.arange(labels.size).reshape(shape)
     lo, hi, edge = [], [], []
@@ -173,31 +178,50 @@ def _face_table(labels: np.ndarray, shape: tuple[int, ...], bc: BoundaryKind,
             cout.append(first)
             inclusion.append(np.zeros(last.size, dtype=int))
             phase.append(np.full(last.size, np.exp(-1j * k * length)))
-    return FaceTable(*(np.concatenate(x) for x in (cin, cout, inclusion, phase)))
+    cols = [np.concatenate(x) for x in (cin, cout, inclusion, phase)]
+    return FaceTable(*cols, np.full(cols[0].size, area))
 
 
 def build_grid(medium: ContrastMedium, n: int = None) -> Grid:
-    """Cell grid with the face table of the medium; 1D needs the cell count.
+    """Cell grid with the face table of the medium; 1D and radial grids need
+    the cell count.
 
-    The contrast is not read: the grid serves every epsilon, 0 included.
+    The radial grid is the 1D grid of [0, 1] with faces at r_j = j / n,
+    face measure r^2 and cell mass the integral of r^2 over the cell
+    (both over 4 pi): the spherically symmetric sector of the unit ball
+    with the ball r < a as its inclusion.  Its one closure is the sphere
+    r = 1 (Dirichlet or Neumann).  The contrast is not read: the grid
+    serves every epsilon, 0 included.
     """
     geom = medium.geometry
-    if isinstance(geom, Geometry1D):
+    if isinstance(geom, (Geometry1D, RadialGeometry)):
         if n is None:
-            raise GeometryError("1D grids need an explicit cell count n")
-        lo, hi = geom.x_lo, geom.x_hi
+            raise GeometryError("1D and radial grids need an explicit cell count n")
+        radial = isinstance(geom, RadialGeometry)
+        if radial and medium.bc.kind == "bloch":
+            raise GeometryError("the radial grid has no Bloch closure")
+        lo, hi = (0.0, 1.0) if radial else (geom.x_lo, geom.x_hi)
         h = (hi - lo) / n
         face_x = lo + h * np.arange(n + 1)
-        for p in geom.interfaces:
+        for p in (geom.a,) if radial else geom.interfaces:
             j = round((p - lo) / h)
             if not (0 < j < n) or abs(face_x[j] - p) > ALIGN_TOL * (hi - lo):
                 raise GeometryError(f"interface {p} does not align with a cell face (n={n})")
         centers = lo + h * (np.arange(n) + 0.5)
-        # odd slots between the sorted interface points lie inside an inclusion
-        slot = np.searchsorted(np.asarray(geom.interfaces), centers)
-        labels = np.where(slot % 2 == 1, (slot + 1) // 2, 0)
-        faces = _face_table(labels, (n,), medium.bc, _periods(geom))
-        return Grid(1, h, labels, centers, faces, (n,))
+        if not radial:
+            # odd slots between the sorted interface points lie inside an inclusion
+            slot = np.searchsorted(np.asarray(geom.interfaces), centers)
+            labels = np.where(slot % 2 == 1, (slot + 1) // 2, 0)
+            faces = _face_table(labels, (n,), medium.bc, _periods(geom), 1.0)
+            return Grid(1, h, labels, centers, faces, (n,), np.full(n, h))
+        labels = (centers < geom.a).astype(int)
+        t = _face_table(labels, (n,), medium.bc, (), 1.0)
+        # the inner face j joins cells j - 1 and j (cout = j); a Dirichlet
+        # closure of cell 0 lies at r = 0, which has no measure and closes nothing
+        r = face_x[np.where(t.cout >= 0, t.cout, np.where(t.cin == 0, 0, n))]
+        keep = r > 0
+        faces = FaceTable(*(c[keep] for c in (t.cin, t.cout, t.inclusion, t.phase)), r[keep]**2)
+        return Grid(1, h, labels, centers, faces, (n,), (face_x[1:]**3 - face_x[:-1]**3) / 3.0)
 
     if isinstance(geom, Geometry2D):
         nx, ny = geom.shape
@@ -206,10 +230,10 @@ def build_grid(medium: ContrastMedium, n: int = None) -> Grid:
         xs = (np.arange(nx) + 0.5) * h
         ys = (np.arange(ny) + 0.5) * h
         centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        faces = _face_table(labels, (nx, ny), medium.bc, _periods(geom))
-        return Grid(2, h, labels, centers, faces, (nx, ny))
+        faces = _face_table(labels, (nx, ny), medium.bc, _periods(geom), h)
+        return Grid(2, h, labels, centers, faces, (nx, ny), np.full(labels.size, h**2))
 
-    raise GeometryError(f"assembly supports 1D and 2D geometries, not {type(geom)}")
+    raise GeometryError(f"assembly supports 1D, 2D and radial geometries, not {type(geom)}")
 
 
 def _periods(geom) -> tuple[float, ...]:
@@ -222,7 +246,7 @@ def _periods(geom) -> tuple[float, ...]:
 def face_phase(medium: ContrastMedium, grid: Grid) -> np.ndarray:
     """The ``phase`` column of ``grid``'s face table under the outer condition
     of ``medium``: the one column that depends on the Bloch number."""
-    return _face_table(grid.labels, grid.shape, medium.bc, _periods(medium.geometry)).phase
+    return _face_table(grid.labels, grid.shape, medium.bc, _periods(medium.geometry), 1.0).phase
 
 
 def cell_sigma(medium: ContrastMedium, grid: Grid) -> np.ndarray:
@@ -242,7 +266,7 @@ def face_conductances(medium: ContrastMedium, grid: Grid, sel=slice(None)) -> np
     """Conductances of the selected faces: harmonic mean of the adjacent cell
     coefficients over h, times the face measure."""
     g = harmonic_means(cell_sigma(medium, grid), grid.faces.cin[sel], grid.faces.cout[sel])
-    return g / grid.h * grid.h**(grid.dim - 1)
+    return g / grid.h * grid.faces.area[sel]
 
 
 def face_matrix(n: int, cin: np.ndarray, cout: np.ndarray, g: np.ndarray,
@@ -289,15 +313,15 @@ def augmented_side(grid: Grid, inclusion: bool) -> sp.csr_matrix:
     """One side of ``augmented``: A1 if ``inclusion``, else A0."""
     t = grid.faces
     gamma, _ = interface_dofs(grid)
-    g = grid.conductance
+    g = 1.0 / grid.h * t.area          # unit-coefficient conductances
     plain = np.nonzero(t.inclusion == 0)[0]
     faces = plain[(grid.labels[t.cin[plain]] > 0) == inclusion]
     cout = t.cout[faces]
     return face_matrix(grid.ncells + gamma.size,
                        np.concatenate([t.cin[faces], (t.cin if inclusion else t.cout)[gamma]]),
                        np.concatenate([cout, grid.ncells + np.arange(gamma.size)]),
-                       np.concatenate([np.where(cout >= 0, g, 2 * g),
-                                       np.full(gamma.size, 2 * g)]),
+                       np.concatenate([np.where(cout >= 0, g[faces], 2 * g[faces]),
+                                       2 * g[gamma]]),
                        np.concatenate([t.phase[faces], np.ones(gamma.size)]))
 
 
@@ -305,10 +329,10 @@ def augmented_side(grid: Grid, inclusion: bool) -> sp.csr_matrix:
 class DiscreteOperator:
     """Assembled stiffness plus grid bookkeeping.
 
-    The discrete eigenproblem is K v = lambda * cell_volume * v with K
-    symmetric (Hermitian under Bloch); ``matrix`` is K divided by the cell
-    volume, i.e. the operator whose action approximates the differential
-    operator pointwise.
+    The discrete eigenproblem is K v = lambda * diag(mass) v with K
+    symmetric (Hermitian under Bloch) and ``mass`` the grid's cell masses;
+    ``matrix`` is K with each row divided by its cell mass, i.e. the
+    operator whose action approximates the differential operator pointwise.
     """
 
     medium: ContrastMedium
@@ -324,8 +348,12 @@ class DiscreteOperator:
         return self.K.shape[0]
 
     @property
+    def labels(self) -> np.ndarray:
+        return self.grid.labels
+
+    @property
     def matrix(self) -> sp.csr_matrix:
-        return self.K / self.grid.cell_volume
+        return sp.diags(1.0 / self.grid.mass) @ self.K
 
     @property
     def is_complex(self) -> bool:
@@ -346,8 +374,8 @@ def assemble(medium: ContrastMedium, n: int = None) -> DiscreteOperator:
 class SpectrumResult:
     """Ascending eigenpairs of a discrete operator with solver diagnostics.
 
-    Eigenvectors are columns, orthonormal in the mesh inner product
-    (cell_volume * dot).  For Neumann operators the zero mode of constants
+    Eigenvectors are columns, orthonormal in the mass inner product
+    (the grid's cell masses).  For Neumann operators the zero mode of constants
     is reported in ``metadata['constant_mode_lambda']`` and excluded from
     the list.
     """
@@ -631,6 +659,14 @@ def _reflection_sectors(opr: DiscreteOperator, k: int):
     return sectors
 
 
+def _sector_mass(Q: sp.spmatrix, mass: np.ndarray) -> np.ndarray:
+    """Mass of each sector unknown: that of the first cell its column of Q
+    spans.  A symmetry maps each cell to one of equal mass, so every cell
+    of an orbit would do."""
+    Q = Q.tocsc()
+    return mass[Q.indices[Q.indptr[:-1]]]
+
+
 def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     """The ``count`` smallest eigenpairs; under Neumann the constant mode is
     dropped and the ``count`` after it returned.  A Bloch grid at phase 1
@@ -654,21 +690,23 @@ def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
     """
     if not 1 <= count < opr.dimension - 1:
         raise ValueError("count must be >= 1 and small relative to the dimension")
-    n, vol = opr.dimension, opr.grid.cell_volume
+    mass = opr.grid.mass
     neumann = opr.bc.kind == "neumann"
     k_ask = count + 1 if neumann else count
     sectors = _reflection_sectors(opr, k_ask)
     lams, vecs = [], []
     for Q, Ks, ks in sectors:
         if Ks is not None:      # else the pairs of the sector before, moved by Q
-            w, y, res = shift_invert_eigenpairs(Ks, np.full(Ks.shape[0], vol), ks)
+            w, y, res = shift_invert_eigenpairs(
+                Ks, mass if Q is None else _sector_mass(Q, mass), ks)
         lams.append(w)
         vecs.append(y if Q is None else Q @ y)
     w = np.concatenate(lams)
     order = np.argsort(w)[:k_ask]
     w, v = w[order], np.hstack(vecs)[:, order]
     if sectors[0][0] is not None:       # the gate's scale is that of the full operator
-        res = _residuals(opr.K, np.full(n, np.sqrt(vol)), v * np.sqrt(vol), w)
+        root = np.sqrt(mass)
+        res = _residuals(opr.K, root, v * root[:, None], w)
     meta = {"constant_mode_lambda": float(w[0])} if neumann else {}
     if neumann:
         check_constant_mode(w[0], w[1])
@@ -708,11 +746,12 @@ def check_solvable(bc: BoundaryKind, grid: Grid, f: np.ndarray) -> bool:
     """Whether the constants span the kernel (Neumann, or Bloch with every
     wrap-face phase 1 to ``PHASE_ONE_TOL``); then the caller returns the
     mean-zero solution, and this raises ``SolvabilityError`` unless the
-    source has zero mesh mean: |mean f| <= 1e-12 max(1, max |f|)."""
+    source has zero mesh mean, weighted by the cell masses:
+    |sum mass f| / sum mass <= 1e-12 max(1, max |f|)."""
     # every face of a Neumann grid has phase 1
     if bc.kind == "dirichlet" or np.max(np.abs(grid.faces.phase - 1)) > PHASE_ONE_TOL:
         return False
-    if abs(np.sum(f)) / f.size > 1e-12 * max(1.0, np.max(np.abs(f))):
+    if abs(grid.mass @ f) / np.sum(grid.mass) > 1e-12 * max(1.0, np.max(np.abs(f))):
         raise SolvabilityError("source must have zero mesh mean: the constants span the kernel")
     return True
 
@@ -721,12 +760,11 @@ def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     """Solution of the discrete source problem; where the constants span the
     kernel, the mean-zero solution of a mean-zero source (``check_solvable``)."""
     f = np.asarray(f)
-    vol = opr.grid.cell_volume
-    rhs = (vol * f).astype(opr.K.dtype)
+    rhs = (opr.grid.mass * f).astype(opr.K.dtype)
     if check_solvable(opr.bc, opr.grid, f):
         # ground one cell of the consistent singular system, then shift
         u = np.append(factor(opr.K[:-1, :-1]).solve(rhs[:-1]), 0.0)
-        u = u - np.mean(u)
+        u = u - opr.grid.mass @ u / np.sum(opr.grid.mass)
     else:
         u = factor(opr.K).solve(rhs)
     resid = np.linalg.norm(opr.K @ u - rhs)

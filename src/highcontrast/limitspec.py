@@ -7,13 +7,14 @@ vectors constant on each inclusion and its interface faces, and forces
 the field onto them as eps -> 0.  Its spectrum is that of one Hermitian
 pencil on the exterior cells plus the inclusion constants,
 
-    A = P^H A0 P,    M = diag(vol I, |inclusion_1|, ..., |inclusion_m|),
+    A = P^H A0 P,    M = diag(m_E, |inclusion_1|, ..., |inclusion_m|),
 
 where P spreads the exterior cells and c_i over the cells and interface
-face dofs of inclusion i (M is P^H diag(vol on the cells, 0 on the faces)
-P).  The exterior rows are the exterior Helmholtz equation with trace
-data c; the last m rows say that the flux out of inclusion i plus
-lambda c_i |inclusion_i| vanishes.  Eigenvectors with c != 0 form the
+face dofs of inclusion i, and m_E are the exterior cell masses (M is
+P^H diag(cell masses, 0 on the faces) P, so |inclusion_i| is the sum of
+its cell masses).  The exterior rows are the exterior Helmholtz equation
+with trace data c; the last m rows say that the flux out of inclusion i
+plus lambda c_i |inclusion_i| vanishes.  Eigenvectors with c != 0 form the
 ``constant_trace`` family (eigenfunctions constant on the inclusions; their eigenvalues are the
 roots of det T(lambda), see :class:`CharacteristicDeterminant`).
 Eigenvectors with c = 0 form the ``zero_flux`` family: exterior
@@ -123,8 +124,9 @@ class ExteriorSystem:
     mass: np.ndarray
 
     @property
-    def vol(self) -> float:
-        return self.grid.cell_volume
+    def exterior_mass(self) -> np.ndarray:
+        """The cell masses of the exterior cells: the mass of K_EE."""
+        return self.mass[:self.idx_out.size]
 
     @property
     def n_inclusions(self) -> int:
@@ -144,12 +146,11 @@ class ExteriorSystem:
 
     def exterior_eigs(self, lam_max: float):
         """Exterior eigenpairs (zero interface data) up to lam_max, unit-norm vectors."""
-        w, v = eigenpairs_below(self.K_EE, np.full(self.K_EE.shape[0], self.vol),
-                                lam_max)
-        return w, v * np.sqrt(self.vol)
+        w, v = eigenpairs_below(self.K_EE, self.exterior_mass, lam_max)
+        return w, v / np.linalg.norm(v, axis=0)
 
     def helmholtz_factor(self, lam):
-        return factor(self.K_EE - lam * self.vol * sp.identity(self.K_EE.shape[0]))
+        return factor(self.K_EE - lam * sp.diags(self.exterior_mass))
 
 
 def build_exterior(medium: ContrastMedium, n: int = None) -> ExteriorSystem:
@@ -164,8 +165,7 @@ def build_exterior(medium: ContrastMedium, n: int = None) -> ExteriorSystem:
     spread[idx_out] = np.arange(idx_out.size)
     P = sp.csr_matrix((np.ones(spread.size), (np.arange(spread.size), spread)))
     A0 = augmented_side(grid, inclusion=False)
-    mass = grid.cell_volume * np.concatenate([np.ones(idx_out.size),
-                                              np.bincount(grid.labels)[1:]])
+    mass = np.concatenate([grid.mass[idx_out], np.bincount(grid.labels, grid.mass)[1:]])
     return ExteriorSystem(medium, grid, idx_out, (P.T @ A0 @ P).tocsc(), mass)
 
 
@@ -216,7 +216,7 @@ def exterior_helmholtz_solve(medium: ContrastMedium, lam: float, c: np.ndarray,
     ext = ext or build_exterior(medium, n)
     margin = POLE_MARGIN * max(1.0, abs(lam))
     nE = ext.idx_out.size
-    mass = np.full(nE, ext.vol)
+    mass = ext.exterior_mass
     if count_below(ext.K_EE, mass, lam + margin) != count_below(ext.K_EE, mass, lam - margin):
         raise ResonanceError(f"lambda={lam} is an exterior resonance")
     c = np.asarray(c, dtype=complex if ext.A.dtype.kind == "c" else float)
@@ -263,11 +263,11 @@ def _pencil_pair(ext: ExteriorSystem, A, mass: np.ndarray, x: np.ndarray,
         c = np.zeros(ext.n_inclusions)
         x = x.copy()
         x[nE:] = 0.0
-        x /= np.linalg.norm(x) * np.sqrt(ext.vol)
+        x /= np.sqrt(np.real(np.vdot(x, mass * x)))
     u_ext = x[:nE]
     r = A @ x - lam * (mass * x)
     scale = max(lam, 1.0)
-    pde = float(np.linalg.norm(r[:nE]) / (ext.vol * scale * np.linalg.norm(u_ext)))
+    pde = float(np.linalg.norm(r[:nE]) / (scale * np.linalg.norm(mass[:nE] * u_ext)))
     flux = float(np.linalg.norm(r[nE:]) / (scale * np.linalg.norm(mass * x)))
     return LimitEigenpair(lam, c, _full_field(ext, u_ext, c),
                           "constant_trace" if trace else "zero_flux", flux, pde)
@@ -339,10 +339,11 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
                 excluded.append((lam, float(s_full[d])))
                 continue
             u_ext = V @ Vh.conj().T[:, d]
-            u_ext = u_ext / (np.linalg.norm(u_ext) * np.sqrt(ext.vol))
+            u_ext = u_ext / np.sqrt(np.real(np.vdot(u_ext, ext.exterior_mass * u_ext)))
+            mu = ext.exterior_mass * u_ext
             flux = np.linalg.norm(ext.interface_flux(c0, u_ext))
-            res = np.linalg.norm(ext.K_EE @ u_ext - lam * ext.vol * u_ext)
-            pde = float(res / (ext.vol * max(lam, 1.0) * np.linalg.norm(u_ext)))
+            res = np.linalg.norm(ext.K_EE @ u_ext - lam * mu)
+            pde = float(res / (max(lam, 1.0) * np.linalg.norm(mu)))
             pairs.append(LimitEigenpair(lam, c0, _full_field(ext, u_ext, c0),
                                         "zero_flux", float(flux), pde))
     return LimitSpectrum(tuple(pairs), excluded=tuple(excluded))
@@ -359,9 +360,9 @@ class _BlochPencil:
 
     Only the ``phase`` column of the face table depends on k.  A wrap face
     joins two exterior cells (inclusions keep off the cell boundary) and
-    puts -g conj(p) and -g p on two off-diagonal pencil entries, g the unit
-    face conductance; :meth:`at` rewrites the entries of the faces whose
-    phase differs from the build's.
+    puts -g conj(p) and -g p on two off-diagonal pencil entries, g the
+    face's unit-coefficient conductance; :meth:`at` rewrites the entries of
+    the faces whose phase differs from the build's.
 
     ``J`` is the point reflection of an inversion-symmetric cell
     (``fdm.label_reflection``) on the pencil indices, else None: it reverses
@@ -372,8 +373,9 @@ class _BlochPencil:
     def __init__(self, medium: ContrastMedium, n: int = None):
         self.ext = build_exterior(medium, n)
         self.A, self.mass = self.ext.A, self.ext.mass
-        self.g = self.ext.grid.conductance
-        pi = label_reflection(self.ext.grid.labels)
+        grid = self.ext.grid
+        self.g = 1.0 / grid.h * grid.faces.area
+        pi = label_reflection(grid.labels)
         nE = self.ext.idx_out.size
         self.J = None if pi is None else np.concatenate([np.arange(nE)[::-1], nE - 1 + pi[1:]])
 
@@ -386,8 +388,8 @@ class _BlochPencil:
         # exterior cell indices: idx_out is sorted
         a, b = np.searchsorted(ext.idx_out, t.cin[f]), np.searchsorted(ext.idx_out, t.cout[f])
         A = self.A.copy()
-        A[a, b] = -self.g * np.conj(phase[f])       # stored entries: written in place
-        A[b, a] = -self.g * phase[f]
+        A[a, b] = -self.g[f] * np.conj(phase[f])    # stored entries: written in place
+        A[b, a] = -self.g[f] * phase[f]
         return A
 
     def operator(self, k) -> sp.spmatrix:
@@ -416,9 +418,10 @@ def effective_resolvent(medium: ContrastMedium, z: complex, f: np.ndarray,
     ext = ext or build_exterior(medium, n)
     f = np.asarray(f)
     dtype = np.result_type(ext.A.dtype, type(z), f.dtype)
-    # vol f on the exterior cells, then the integral of f over each inclusion
-    sums = [np.sum(f[ext.grid.labels == i + 1]) for i in range(ext.n_inclusions)]
-    rhs = (ext.vol * np.concatenate([f[ext.idx_out], sums])).astype(dtype)
+    # mass f on the exterior cells, then the integral of f over each inclusion
+    mf = ext.grid.mass * f
+    sums = [np.sum(mf[ext.grid.labels == i + 1]) for i in range(ext.n_inclusions)]
+    rhs = np.concatenate([mf[ext.idx_out], sums]).astype(dtype)
     x = factor(ext.A.astype(dtype) - z * sp.diags(ext.mass)).solve(rhs)
     nE = ext.idx_out.size
     return _full_field(ext, x[:nE], x[nE:])

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from highcontrast import cli, dtn, exact1d, fdm
+from highcontrast import cli, dtn, exact1d, fdm, limitspec
 from highcontrast.geometry import medium_from_config
 
 
@@ -167,7 +167,40 @@ def test_validate_radial_checks_the_sphere_limit(tmp_path):
     assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
     verdict = json.loads((tmp_path / "validate.json").read_text())
     assert verdict["passed"]
-    assert [c["name"] for c in verdict["criteria"]] == ["sphere_limit"]
+    assert [c["name"] for c in verdict["criteria"]] == [
+        "dtn_identity", "exterior_constants_negative", "sphere_limit"]
+
+
+def test_validate_passes_on_a_radial_neumann_medium(tmp_path):
+    # the closed form is the Dirichlet ball's, so only the reduction is checked
+    cfg = write_cfg(tmp_path, "c.json", {"medium": {**RADIAL, "bc": "neumann"}})
+    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "validate.json").read_text())
+    assert verdict["passed"]
+    assert [c["name"] for c in verdict["criteria"]] == [
+        "dtn_identity", "exterior_constants_negative"]
+
+
+@pytest.mark.parametrize("fall, code", [(0.0, cli.EXIT_OK), (5e-10, cli.EXIT_OK),
+                                        (2e-9, cli.EXIT_VALIDATION)])
+def test_converge_fails_a_branch_that_falls_as_eps_falls(tmp_path, monkeypatch, fall, code):
+    # every exact eigenvalue rises as eps falls: a stubbed solver returns the
+    # affine branch FIRST_SPHERE - 0.745 eps with its last value lowered by
+    # ``fall`` relative to the value before it
+    eps_list = [1e-1, 1e-2, 1e-3, 1e-4]
+
+    def branch(med, cfg, count):
+        lam = FIRST_SPHERE - 0.745 * med.epsilon
+        if med.epsilon == eps_list[-1]:
+            lam = (FIRST_SPHERE - 0.745 * eps_list[-2]) * (1.0 - fall)
+        return np.array([lam]), np.ones((4, 1)), np.zeros(1), np.zeros(4, dtype=int), 0.002
+
+    monkeypatch.setattr(cli, "_eigenpairs", branch)
+    cfg = write_cfg(tmp_path, "c.json", {"medium": RADIAL, "count": 1, "eps_list": eps_list})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == code
+    (entry,) = json.loads((tmp_path / "converge.json").read_text())["branches"]
+    assert entry["falls"] == (code != cli.EXIT_OK)
+    assert entry["passed"] == (code == cli.EXIT_OK)
 
 
 def test_limit_radial(tmp_path):
@@ -179,6 +212,19 @@ def test_limit_radial(tmp_path):
     lines = (tmp_path / "limit.csv").read_text().splitlines()
     assert float(lines[1].split(",")[1]) == pytest.approx(10.710706579361926,
                                                           abs=1e-9)
+
+
+def test_limit_radial_neumann_is_the_grid_pencil(tmp_path):
+    # the closed form is the Dirichlet ball's: under Neumann the limit is the
+    # pencil of the configured grid
+    medium = {"dim": "radial", "inclusions": [0.5], "h": 0.002, "epsilon": 0.0,
+              "bc": "neumann"}
+    cfg = write_cfg(tmp_path, "c.json", {"medium": medium, "lambda_max": 80.0})
+    assert cli.main(["limit", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "limit.csv").read_text().splitlines()[1:]
+    ref = limitspec.limit_spectrum(medium_from_config(medium), 80.0, 500).eigenvalues
+    assert np.allclose([float(r.split(",")[1]) for r in rows], ref, rtol=1e-15, atol=0)
+    assert ref.size == 1 and 25.0 < ref[0] < 26.0
 
 
 def test_dispersion_outputs(tmp_path):

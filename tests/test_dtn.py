@@ -318,8 +318,9 @@ def test_reduction_where_constants_span_the_kernel(med, n):
     # eps = 0: the limit pencil grounded at its last dof, shifted to zero mesh mean
     ext = limitspec.build_exterior(med.with_epsilon(0.0), n)
     labels, nE = ext.grid.labels, ext.idx_out.size
-    sums = [np.sum(f[labels == i]) for i in range(1, ext.n_inclusions + 1)]
-    rhs = ext.vol * np.append(f[ext.idx_out], sums)
+    mf = ext.grid.mass * f
+    sums = [np.sum(mf[labels == i]) for i in range(1, ext.n_inclusions + 1)]
+    rhs = np.append(mf[ext.idx_out], sums)
     x = np.append(fdm.factor(ext.A[:-1, :-1]).solve(rhs[:-1].astype(ext.A.dtype)), 0.0)
     x -= ext.mass @ x / ext.mass.sum()
     ref = np.empty(ext.grid.ncells, dtype=x.dtype)

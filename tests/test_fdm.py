@@ -9,9 +9,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from highcontrast import fdm, limitspec, radial3d
+from highcontrast import fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
-                                   Geometry2D, GeometryError, rectangles_to_mask)
+                                   Geometry2D, GeometryError, RadialGeometry,
+                                   rectangles_to_mask)
 
 SYM = Geometry1D(-1.0, 1.0, ((-0.5, 0.5),))
 TWO = Geometry1D(-1.0, 1.0, ((-0.6, -0.2), (0.2, 0.6)))
@@ -217,8 +218,9 @@ class TestShiftInvert:
 def window_pencil(name):
     """(A, mass, eigenvalues by dense eigh) of a pencil the window mode serves."""
     if name == "radial":
-        K, M, _ = radial3d._exterior_radial(0.5, 400)
-        A, mass = K, M.diagonal()
+        ext = limitspec.build_exterior(
+            ContrastMedium(RadialGeometry(0.5), 0.0, BoundaryKind.dirichlet()), 400)
+        A, mass = ext.A, ext.mass
     else:
         centre = ((0.25, 0.75, 0.25, 0.75),)
         h, rects, bc = {"centre": (1 / 48, centre, BoundaryKind.dirichlet()),
@@ -597,6 +599,7 @@ def test_flux_on_interface_matches_face_loop(med, n):
                                                  BoundaryKind.bloch((0.7, 0.3)))],
     (med2d(h=1 / 32, rects=CORNERS), None),
     (med2d(h=1 / 192), None),
+    (ContrastMedium(RadialGeometry(0.5), 1.0, BoundaryKind.dirichlet()), 400),
 ])
 @pytest.mark.parametrize("eps", [1e-1, 1e-4])
 def test_eliminating_the_face_dofs_gives_the_assembled_matrix(med, n, eps):
@@ -612,6 +615,37 @@ def test_eliminating_the_face_dofs_gives_the_assembled_matrix(med, n, eps):
     K = A[cells][:, cells] - A_CF @ sp.diags(1.0 / D.diagonal()) @ A_CF.conj().T
     ref = fdm.assemble(med.with_epsilon(eps), n).K
     assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+
+
+@pytest.mark.parametrize("med, n", [
+    *[(med1d(1e-3, bc), 400) for bc in BCS[:3]],
+    (ContrastMedium(TWO, 1e-2, BoundaryKind.bloch(0.0)), 200),
+    *[(med2d(1e-3, h=1 / 48, bc=bc), None) for bc in BCS],
+    (med2d(1e-2, h=1 / 32, rects=CORNERS), None),
+])
+def test_per_face_measures_give_the_scalar_products_bit_for_bit(med, n):
+    """On a uniform grid every face has the measure h^(dim - 1) and every
+    cell the mass h^dim: K, A0 and A1 equal, bit for bit, the products that
+    take the measure as one scalar."""
+    grid = fdm.build_grid(med, n)
+    t, h, dim = grid.faces, grid.h, grid.dim
+    hm = fdm.harmonic_means(fdm.cell_sigma(med, grid), t.cin, t.cout)
+    K = fdm.face_matrix(grid.ncells, t.cin, t.cout, hm / h * h**(dim - 1), t.phase)
+    assert (fdm.assemble(med, n).K != K).nnz == 0
+    g = 1.0 / h * h**(dim - 1)
+    gamma, _ = fdm.interface_dofs(grid)
+    plain = np.nonzero(t.inclusion == 0)[0]
+    for inclusion, A in zip((False, True), fdm.augmented(grid)):
+        faces = plain[(grid.labels[t.cin[plain]] > 0) == inclusion]
+        cout = t.cout[faces]
+        ref = fdm.face_matrix(grid.ncells + gamma.size,
+                              np.concatenate([t.cin[faces], (t.cin if inclusion else t.cout)[gamma]]),
+                              np.concatenate([cout, grid.ncells + np.arange(gamma.size)]),
+                              np.concatenate([np.where(cout >= 0, g, 2 * g),
+                                              np.full(gamma.size, 2 * g)]),
+                              np.concatenate([t.phase[faces], np.ones(gamma.size)]))
+        assert (A != ref).nnz == 0
+    assert np.array_equal(grid.mass, np.full(grid.ncells, h**dim))
 
 
 def test_interface_faces_per_inclusion_are_the_perimeter():

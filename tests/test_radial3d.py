@@ -1,12 +1,11 @@
-"""Radially symmetric 3D sector: closed forms vs the weighted grid."""
+"""Radially symmetric 3D sector: closed forms vs the radial grid of ``fdm``."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import brentq
 
-from highcontrast import fdm, radial3d
-from highcontrast.geometry import GeometryError
+from highcontrast import dtn, fdm, limitspec, radial3d
+from highcontrast.geometry import BoundaryKind, ContrastMedium, GeometryError, RadialGeometry
 
 A = 0.5
 # first root of a s cot(s(1-a)) = lam a^2/3 - 1 at a = 0.5
@@ -66,9 +65,13 @@ def test_interface_alignment_required():
         radial3d.radial_operator(A, 1e-2, 333)   # h = 1/333 misses r = 0.5
 
 
+def radial_medium(eps=0.0, bc="dirichlet"):
+    return ContrastMedium(RadialGeometry(A), eps, BoundaryKind(bc))
+
+
 def test_det_scan_alignment_required():
     with pytest.raises(GeometryError):
-        radial3d.sphere_det_scan(A, 200.0, 401)   # h = 1/401 misses r = 0.5
+        limitspec.det_scan(radial_medium(), 200.0, 401)   # h = 1/401 misses r = 0.5
 
 
 def test_neumann_variant_drops_constant():
@@ -76,20 +79,38 @@ def test_neumann_variant_drops_constant():
     w, v, _ = radial3d.radial_eigenpairs(opr, 2)
     assert w[0] > 0.5
     # eigenvectors are mass-orthogonal to the constant
-    assert abs(np.sum(opr.M * v[:, 0])) < 1e-8
+    assert abs(np.sum(opr.grid.mass * v[:, 0])) < 1e-8
 
 
 def test_a_missing_radial_constant_mode_is_not_dropped_silently(monkeypatch):
-    inner = radial3d.shift_invert_eigenpairs
+    inner = fdm.shift_invert_eigenpairs
 
     def missing_first(A, mass, k):
         w, x, r = inner(A, mass, k + 1)
         return w[1:], x[:, 1:], r[1:]
 
-    monkeypatch.setattr(radial3d, "shift_invert_eigenpairs", missing_first)
+    monkeypatch.setattr(fdm, "shift_invert_eigenpairs", missing_first)
     opr = radial3d.radial_operator(A, 1e-2, 500, bc="neumann")
     with pytest.raises(fdm.EigensolverError, match="constant mode"):
         radial3d.radial_eigenpairs(opr, 2)
+
+
+def test_a_radial_source_is_solvable_by_its_mass_weighted_sum():
+    # under Neumann the constants span the kernel: a source must have zero
+    # mass-weighted sum, and a zero plain sum over the cells is not enough
+    opr = radial3d.radial_operator(A, 1e-2, 400, bc="neumann")
+    mass = opr.grid.mass
+    f = np.where(opr.labels > 0, 1.0, -1.0)
+    assert np.sum(f) == 0.0 and abs(mass @ f) > 0.1 * np.sum(mass)
+    sysd = dtn.build_dtn(radial_medium(1e-2, "neumann"), 400)
+    for solve in (lambda f: fdm.solve(opr, f), lambda f: dtn.apply_Bhat(sysd, 1e-2, f)[0]):
+        with pytest.raises(fdm.SolvabilityError):
+            solve(f)
+    f = f - mass @ f / np.sum(mass)
+    u = fdm.solve(opr, f)
+    assert abs(mass @ u) <= 1e-12 * np.sum(mass) * np.max(np.abs(u))
+    assert np.linalg.norm(opr.K @ u - mass * f) <= 1e-12 * abs(opr.K).max() * np.linalg.norm(u)
+    assert np.max(np.abs(dtn.apply_Bhat(sysd, 1e-2, f)[0] - u)) < 1e-10
 
 
 def test_flux_at_interface_of_limit_mode():
@@ -97,44 +118,25 @@ def test_flux_at_interface_of_limit_mode():
     pairs, _ = radial3d.sphere_limit_spectrum(A, 20.0)
     lam, u = pairs[0]
     opr = radial3d.radial_operator(A, 1e-3, 4000)
-    flux = radial3d.flux_at_interface(opr, u(opr.centers))
+    flux = 4.0 * np.pi * fdm.flux_on_interface(opr, u(opr.grid.centers), 1)
     ball = 4.0 / 3.0 * np.pi * A ** 3
     assert flux == pytest.approx(-lam * ball, rel=2e-3)
 
 
 def test_det_scan_matches_closed_form():
-    got = radial3d.sphere_det_scan(A, 45.0, 2000)
+    got = limitspec.det_scan(radial_medium(), 45.0, 2000).eigenvalues
     ref = [l for l, _ in radial3d.sphere_limit_spectrum(A, 45.0)[0]]
     assert len(got) == len(ref)
     assert np.allclose(got, ref, rtol=1e-5)
 
 
-def test_det_scan_matches_dense_flux_equation():
-    """Each root zeroes the same flux equation solved with a dense LU."""
-    K, M, g_if = radial3d._exterior_radial(A, 200)
-    pencil_K, mass = K.toarray(), M.diagonal()
-    ball = 4.0 / 3.0 * np.pi * A ** 3
-    e0 = np.zeros(mass.size)
-    e0[0] = g_if
-
-    def T(lam):
-        u = np.linalg.solve(pencil_K - lam * np.diag(mass), e0)
-        return 4.0 * np.pi * g_if * (u[0] - 1.0) + lam * ball
-
-    roots = radial3d.sphere_det_scan(A, 300.0, 200)
-    assert len(roots) == 3
-    for r in roots:
-        ref = brentq(T, r * (1 - 1e-6), r * (1 + 1e-6), xtol=1e-14)
-        assert r == pytest.approx(ref, rel=1e-11)
-
-
 def test_det_scan_matches_a_40_digit_solve():
-    """The roots at a = 1/2, n = 2000 against a 40-digit solve of the same
-    finite-volume flux equation, built from the face radii: the
+    """The limit pencil's roots at a = 1/2, n = 2000 against a 40-digit solve
+    of the same finite-volume flux equation, built from the face radii: the
     conductances r^2 / h (2 r^2 / h at the closures) and the cell masses."""
     mp = pytest.importorskip("mpmath")
     n = 2000
-    roots = radial3d.sphere_det_scan(A, 80.0, n)
+    roots = limitspec.det_scan(radial_medium(), 80.0, n).eigenvalues
     with mp.workdps(40):
         h = mp.mpf(1) / n
         r = [j * h for j in range(n // 2, n + 1)]
@@ -151,15 +153,16 @@ def test_det_scan_matches_a_40_digit_solve():
 
         ref = [float(mp.findroot(T, mp.mpf(x), solver="secant")) for x in roots]
     assert len(roots) == 2
-    assert np.allclose(roots, ref, rtol=1e-13, atol=0)
+    assert np.allclose(roots, ref, rtol=1e-11, atol=0)
 
 
 def test_det_scan_interlaces_poles_beyond_forty():
-    """Past the 40th exterior eigenvalue every root still sits between poles."""
+    """Past the 40th exterior eigenvalue every pencil eigenvalue still sits
+    between exterior eigenvalues (the poles of the flux equation)."""
     lam_max = 8e4
-    K, M, _ = radial3d._exterior_radial(A, 400)
-    poles = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    roots = np.array(radial3d.sphere_det_scan(A, lam_max, 400))
+    ext = limitspec.build_exterior(radial_medium(), 400)
+    poles = sla.eigh(ext.K_EE.toarray(), np.diag(ext.exterior_mass), eigvals_only=True)
+    roots = limitspec.det_scan(radial_medium(), lam_max, 400, ext=ext).eigenvalues
     inside = poles[poles <= lam_max]
     assert inside.size > 40
     # one root below the first pole, then exactly one per pole interval
@@ -189,24 +192,29 @@ def loop_radial(r, h, sig, closed):
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_radial_operator_matches_face_loop(bc):
     opr = radial3d.radial_operator(A, 1e-2, 200, bc=bc)
-    r = opr.h * np.arange(201)
+    h = opr.grid.h
+    r = h * np.arange(201)
     sig = np.where(opr.labels == 1, 1e2, 1.0)
-    ref = loop_radial(r, opr.h, sig, [200] if bc == "dirichlet" else [])
+    ref = loop_radial(r, h, sig, [200] if bc == "dirichlet" else [])
     assert np.max(np.abs(opr.K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.allclose(opr.M, [(r[j + 1] ** 3 - r[j] ** 3) / 3 for j in range(200)],
+    assert np.allclose(opr.grid.mass, [(r[j + 1] ** 3 - r[j] ** 3) / 3 for j in range(200)],
                        rtol=1e-13, atol=0)
-    K, M, g_if = radial3d._exterior_radial(A, 200)
-    ref = loop_radial(r[100:], opr.h, np.ones(100), [0, 100])
-    assert np.max(np.abs(K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert K[0, 0] + K[0, 1] == pytest.approx(g_if, rel=1e-13)   # the tie to the trace dof
+    # the limit pencil: the exterior block, tied at r = a to the ball's constant
+    ext = limitspec.build_exterior(radial_medium(bc=bc), 200)
+    ref = loop_radial(r[100:], h, np.ones(100), [0, 100] if bc == "dirichlet" else [0])
+    assert np.max(np.abs(ext.K_EE.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert -ext.A[0, 100] == pytest.approx(2.0 * A ** 2 / h, rel=1e-13)
+    assert ext.A[100, 100] == pytest.approx(2.0 * A ** 2 / h, rel=1e-13)
+    assert ext.mass[100] == pytest.approx(A ** 3 / 3, rel=1e-13)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_radial_eigenpairs_match_dense_generalized(bc):
     opr = radial3d.radial_operator(A, 1e-2, 200, bc=bc)
+    mass = opr.grid.mass
     w, v, res = radial3d.radial_eigenpairs(opr, 4)
-    ref = sla.eigh(opr.K.toarray(), np.diag(opr.M), eigvals_only=True)
+    ref = sla.eigh(opr.K.toarray(), np.diag(mass), eigvals_only=True)
     ref = ref[1:5] if bc == "neumann" else ref[:4]
     assert np.allclose(w, ref, rtol=1e-10, atol=0)
-    assert np.allclose(v.T @ (opr.M[:, None] * v), np.eye(4), atol=1e-10)
+    assert np.allclose(v.T @ (mass[:, None] * v), np.eye(4), atol=1e-10)
     assert res.max() < 1e-8
