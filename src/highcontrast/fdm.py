@@ -20,25 +20,14 @@ A0 + A1 / eps, A1 the inclusion side.  Eliminating the face dofs gives the
 harmonic-mean matrix; the Dirichlet-to-Neumann reduction and the eps = 0
 limit pencil are views of (A0, A1).
 
-Eigenpairs come from one factor-once shift-invert solver.  It picks its
-own shift just below the semi-definite spectrum and returns Rayleigh
-quotients, so a zero eigenvalue is returned like any other and the closure
-decides it: Neumann drops its constant mode, a Bloch grid at phase 1 keeps
-it as the first eigenvalue.  The operator of a 2D grid whose inclusion
-mask is mirror-symmetric, under a Dirichlet or Neumann closure, commutes
-with the grid reflections, so ``smallest_eigenpairs`` solves it one
-reflection sector at a time (even or odd in x, times even or odd in y)
-and merges the unfolded vectors.  On a square grid whose mask is also
-transpose-symmetric, the two odd-by-even sectors are each other's
-transpose and share one solve, and the even-by-even and odd-by-odd
-sectors split again into transpose-even and transpose-odd halves.  A
-sector odd under a symmetry has, eigenvalue by eigenvalue, no lower
-spectrum than the even one it extends, so each sector is asked only for
-the pairs it can hold among the lowest.  A Bloch grid that
-the point reflection of the cell maps onto itself is solved as a real
-symmetric matrix (``real_form``).  A window (every eigenvalue up to
-lam_max, ``eigenpairs_below``) is sized by Sylvester's law of inertia, and
-the solve must agree with that count.
+Eigenpairs come from one factor-once shift-invert solver, which returns a
+zero eigenvalue like any other; the closure decides it (Neumann drops its
+constant mode, a Bloch grid at phase 1 keeps it).  ``symmetries`` finds the
+exact symmetries of a grid operator as involutive permutations of its
+cells, and ``folded_eigenpairs`` solves any (A, mass) one symmetry sector
+at a time by them.  A window (every eigenvalue up to lam_max,
+``eigenpairs_below``) is sized by Sylvester's law of inertia, and the solve
+must agree with that count.
 """
 
 from __future__ import annotations
@@ -69,7 +58,8 @@ __all__ = [
     "smallest_eigenpairs",
     "eigenpairs_below",
     "face_phase",
-    "label_reflection",
+    "symmetries",
+    "folded_eigenpairs",
     "real_form",
     "solve",
     "flux_on_interface",
@@ -504,42 +494,76 @@ def _residuals(A: sp.spmatrix, root: np.ndarray, y: np.ndarray, w: np.ndarray) -
     return res
 
 
-def _fold(c: np.ndarray, image: np.ndarray, sign: int):
-    """Representative min(c, image) of each coordinate c that an involution
-    swaps with ``image``, and the sign of c in the sector of ``sign`` (+1
-    even, -1 odd): 1 at the representative, ``sign`` at its image, and at a
-    fixed point 1, or 0 under sign -1 (the cell drops out of the sector)."""
-    fixed = np.where(c == image, int(sign > 0), sign)
-    return np.minimum(c, image), np.where(c < image, 1, fixed)
+def _relabeling(labels: np.ndarray, p: np.ndarray):
+    """The permutation pi of the region labels with labels[p] = pi[labels]
+    and pi[0] = 0, or None: the test is exact (``np.array_equal``)."""
+    pi = np.zeros(labels.max() + 1, dtype=labels.dtype)
+    pi[labels] = labels[p]
+    return pi if pi[0] == 0 and np.array_equal(pi[labels], labels[p]) else None
 
 
-def _sector(K: sp.csr_matrix, shape: tuple[int, int], signs: tuple[int, int], tsign: int = 0):
-    """(Q, Q^T K Q) of one symmetry sector of a 2D grid operator, Q the
-    sparse grid-by-sector matrix of orthonormal columns.  ``signs`` per axis
-    is +1 or -1 (even or odd under the mirror of that axis) or 0 (not
-    split); ``tsign`` likewise for the transposition of the square grid of
-    representatives.
+def symmetries(labels: np.ndarray, shape: tuple[int, ...], bc: BoundaryKind):
+    """The exact symmetries of the operator of a labelled cell grid, as
+    involutive permutations of its flat cell indices: (perms, J).
 
-    The unknowns are the orbits of the group that keep a nonzero sign, each
-    represented by its first cell in grid order (sign +1).  Since K commutes
-    with the group, (Q^T K Q)_rs is |orbit r| g_r g_s times the signed sum
-    M_rs of row r of K over orbit s (g = |orbit|^-1/2): M is K's rows at the
-    representatives times the signed orbit indicator, whose sums add equal
-    entries only, so |orbit r| M_rs = |orbit s| M_sr holds bitwise and the
-    result is exactly symmetric."""
-    (nx, ny), (sx, sy) = shape, signs
-    x, y = np.arange(nx)[:, None], np.arange(ny)[None, :]
-    sign = np.ones(shape, dtype=int)
-    if sx:
-        x, t = _fold(x, nx - 1 - x, sx)
-        sign = sign * t
-    if sy:
-        y, t = _fold(y, ny - 1 - y, sy)
-        sign = sign * t
-    if tsign:
-        (x, t), y = _fold(x, y, tsign), np.maximum(x, y)
-        sign = sign * t
-    rep, sign = (x * ny + y).ravel(), sign.ravel()
+    ``perms`` hold each p with K[p][:, p] = K: under a Dirichlet or Neumann
+    closure, the mirror of each axis of a 2D grid, then, on a square grid
+    where both mirrors are in, the transposition.  J is the point
+    reflection c -> n-1-c of a Bloch cell (1D or 2D), with
+    K[J][:, J] = conj(K), as it maps each wrap face to one of the conjugate
+    phase; else None.  A candidate is kept when the labels it moves are a
+    relabeling of the labels with 0 fixed (``_relabeling``): the operator
+    is built from the inclusion mask, the faces and the closure alone, and
+    each candidate maps faces onto faces of equal measure.  A 1D grid has
+    no commuting symmetry here: its solves are O(n), and the radial grid's
+    mirror does not keep its masses."""
+    idx = np.arange(labels.size).reshape(shape)
+    if bc.kind == "bloch":
+        J = idx.ravel()[::-1]
+        return [], None if _relabeling(labels, J) is None else J
+    if len(shape) != 2:
+        return [], None
+    perms = [p for p in (np.flip(idx, 0).ravel(), np.flip(idx, 1).ravel())
+             if _relabeling(labels, p) is not None]
+    T = idx.T.ravel()
+    if len(perms) == 2 and shape[0] == shape[1] and _relabeling(labels, T) is not None:
+        perms.append(T)
+    return perms, None
+
+
+def _orbits(n: int, signed):
+    """Orbit representative (first dof) and sign of each of n dofs in the
+    sector where each involution p of ``signed`` acts as its sign s
+    (x[p] = s x).  The permutations are composed one at a time, each
+    normalizing the group of those before it, so an orbit grows by its
+    image under p.  The sign is 0 on an orbit that p maps onto itself
+    under the other sign: its dofs drop out of the sector."""
+    rep, sign = np.arange(n), np.ones(n, dtype=int)
+    for p, s in signed:
+        img, flip = rep[p], s * sign[p]
+        sign = np.where(img < rep, flip, sign)
+        sign[(img == rep) & (flip != sign)] = 0
+        rep = np.minimum(rep, img)
+    return rep, sign
+
+
+def _odd_size(n: int, perms) -> int:
+    """Unknowns of the sector odd under every permutation, the smallest."""
+    rep, sign = _orbits(n, [(p, -1) for p in perms])
+    return np.count_nonzero(sign[rep == np.arange(n)])
+
+
+def _fold(A: sp.csr_matrix, signed):
+    """(Q, Q^T A Q, cells) of one symmetry sector of A (``_orbits``): Q the
+    sparse dof-by-sector matrix of orthonormal columns, ``cells`` the orbit
+    representatives, whose masses are the sector's.
+
+    Since A commutes with the group, (Q^T A Q)_rs is |orbit r| g_r g_s times
+    the signed sum M_rs of row r of A over orbit s (g = |orbit|^-1/2): M is
+    A's rows at the representatives times the signed orbit indicator, whose
+    sums add equal entries only, so |orbit r| M_rs = |orbit s| M_sr holds
+    bitwise and the result is exactly symmetric."""
+    rep, sign = _orbits(A.shape[0], signed)
     live = sign != 0
     cells = np.flatnonzero(live & (rep == np.arange(rep.size)))
     index = np.zeros(rep.size, dtype=int)
@@ -549,21 +573,11 @@ def _sector(K: sp.csr_matrix, shape: tuple[int, int], signs: tuple[int, int], ts
     g = 1.0 / np.sqrt(orbit)
     indptr = np.concatenate([[0], np.cumsum(live)])
     Q = sp.csr_matrix((sgn * g[col], col, indptr), shape=(rep.size, cells.size))
-    S = K[cells] @ sp.csr_matrix((sgn, col, indptr), shape=Q.shape)
+    S = A[cells] @ sp.csr_matrix((sgn, col, indptr), shape=Q.shape)
     S.sort_indices()        # once here, not in each copy the solver makes
     row = np.repeat(np.arange(cells.size), np.diff(S.indptr))
     S.data *= orbit[row] * (g[row] * g[S.indices])
-    return Q, S
-
-
-def label_reflection(labels: np.ndarray):
-    """The permutation pi of the region labels under the point reflection J
-    of the cell through its centre (flat cell index c -> n-1-c, in 1D and in
-    2D), or None: labels[J c] = pi[labels[c]] on every cell and pi[0] = 0.
-    The test is exact, like the mirror sectors' (``np.array_equal``)."""
-    pi = np.zeros(labels.max() + 1, dtype=labels.dtype)
-    pi[labels] = labels[::-1]
-    return pi if pi[0] == 0 and np.array_equal(pi[labels], labels[::-1]) else None
+    return Q, S, cells
 
 
 def real_form(A: sp.spmatrix, J: np.ndarray) -> sp.csr_matrix:
@@ -579,134 +593,105 @@ def real_form(A: sp.spmatrix, J: np.ndarray) -> sp.csr_matrix:
                          shape=A.shape)
 
 
-def _reflection_sectors(opr: DiscreteOperator, k: int):
-    """The symmetry sectors of a grid operator, as (Q, Q^H K Q, k_s): Q the
-    sparse grid-by-sector matrix of orthonormal columns and k_s the number
-    of pairs to ask of the sector when the whole grid asks for k;
-    [(None, K, k)] for one sector.  A sector listed with the operator None
-    has the pairs of the sector before it, moved by its Q.
+def _sectors(A: sp.csr_matrix, perms, J, k: int):
+    """The sectors A is solved in for its k lowest pairs, as (Q, S, cells,
+    k_s): Q the dof-by-sector matrix of orthonormal columns (None for A
+    whole), S = Q^H A Q, ``cells`` the dofs whose masses are the sector's,
+    and k_s the pairs asked of it.  A twin is listed with S None: it has the
+    pairs of the sector before it, moved by its Q.
 
-    A Bloch grid whose labels the point reflection J maps onto themselves
-    (``label_reflection``) is one real sector (W, ``real_form(K, J)``): J
-    maps interior faces to faces of the same conductance and each wrap face
-    to one of the conjugate phase, so J K J = conj(K) entry for entry.
-
-    Under a Dirichlet or Neumann closure, an axis of a 2D grid is split when
-    the inclusion mask equals its own flip along it: the operator is built
-    from that mask, the faces and the closure alone, so it commutes with the
-    reflection.  A 1D grid (its solves are O(n)) and a split that would
-    leave a piece with no more unknowns than ARPACK's Krylov space
-    max(2k + 1, 20) keep one sector.
-
-    When both axes split, the grid is square and the mask equals its own
-    transpose, K also commutes with the transposition T: (i, j) -> (j, i)
-    (one h makes the x and y faces alike).  T maps the (even x, odd y)
-    sector onto the (odd x, even y) one, its twin, which reuses its solve.
-    The (even, even) and (odd, odd) sectors commute with the transposition
-    of their square grid of representatives, and each splits into a T-even
-    and a T-odd half.  No face joins a cell to the transpose of a
-    neighbour except through the diagonal, so the T-odd half is the T-even
-    one with its diagonal cells held at zero.
+    With J, A is one real sector (W, ``real_form(A, J)``).  Else each
+    permutation of ``perms`` (as ``symmetries`` orders them) splits every
+    sector into an even and an odd half, unless the all-odd sector would
+    keep no more unknowns than ARPACK's Krylov space max(2k + 1, 20).  The
+    transposition is used only with both mirrors, which it swaps: it maps
+    the (even x, odd y) sector onto the (odd x, even y) one, its twin, and
+    splits the (even, even) and (odd, odd) sectors into halves.
 
     Each sector is asked only for the pairs it can hold among the k lowest.
-    A sector odd along an axis is the even one plus a positive semi-definite
-    diagonal on the cells next to the mirror (even n), or the even one with
-    its middle cell held at zero (odd n); a T-odd half is its T-even half
-    with the diagonal held at zero.  By Courant-Fischer its j-th eigenvalue
-    is then at least the j-th of each sector it so dominates.  Let d be the
-    number of sectors in D(s): s itself, the sectors whose odd axes are a
-    subset of its own, and its twin.  If s held more than ceil(k / d)
-    values at or below the k-th eigenvalue, so would every sector of D(s),
-    and their asked pairs alone would be d ceil(k / d) >= k of them: so s
-    is asked for ceil(k / d), and a T-odd half for ceil(k_s / 2) when its
-    T-even half is asked for k_s.  Not the floor: with k = 5, sectors
-    (even, even) {1, 5, 6, ..} and (even, odd) {5, 5, ..} would give 6.
+    A sector odd under a mirror is the even one plus a positive
+    semi-definite diagonal on the cells next to the mirror (even n), or the
+    even one with its middle cells held at zero (odd n); a T-odd half is
+    its T-even half with the diagonal held at zero (no face joins a cell to
+    the transpose of a neighbour except through the diagonal).  By
+    Courant-Fischer its j-th eigenvalue is then at least the j-th of each
+    sector it so dominates.  Let d be the number of sectors in D(s): s
+    itself, the sectors whose odd mirrors are a subset of its own, and its
+    twin.  If s held more than ceil(k / d) values at or below the k-th
+    eigenvalue, so would every sector of D(s), and their asked pairs alone
+    would be d ceil(k / d) >= k of them: so s is asked for ceil(k / d), and
+    a T-odd half for ceil(k_s / 2) when its T-even half is asked for k_s.
+    Not the floor: with k = 5, sectors (even, even) {1, 5, 6, ..} and
+    (even, odd) {5, 5, ..} would give 6.
     """
-    grid, K = opr.grid, opr.K
-    if opr.bc.kind == "bloch" and label_reflection(grid.labels) is not None:
-        cells = np.arange(grid.ncells)
-        J = cells[::-1]
-        W = sp.csr_matrix((np.repeat([0.5 + 0.5j, 0.5 - 0.5j], cells.size),
-                           (np.tile(cells, 2), np.concatenate([cells, J]))), shape=K.shape)
-        return [(W, real_form(K, J), k)]
-    if grid.dim != 2 or opr.bc.kind not in ("dirichlet", "neumann"):
-        return [(None, K, k)]
-    mask = grid.labels.reshape(grid.shape) > 0
-    ncv, size, signs = max(2 * k + 1, 20), grid.ncells, []
-    for ax, n in enumerate(grid.shape):
-        split = np.array_equal(mask, np.flip(mask, ax)) and size // n * (n // 2) > ncv
-        size = size // n * (n // 2) if split else size
-        signs.append((1, -1) if split else (0,))
-    if size == grid.ncells:
-        return [(None, K, k)]
-    # array_equal is False for the transpose of a non-square mask; the
-    # smallest T-odd half has m (m - 1) / 2 unknowns, m = n // 2
-    m = grid.shape[0] // 2
-    transpose = (len(signs[0]) == len(signs[1]) == 2 and np.array_equal(mask, mask.T)
-                 and m * (m - 1) // 2 > ncv)
+    n = A.shape[0]
+    if J is not None:
+        W = sp.csr_matrix((np.repeat([0.5 + 0.5j, 0.5 - 0.5j], n),
+                           (np.tile(np.arange(n), 2), np.concatenate([np.arange(n), J]))),
+                          shape=A.shape)
+        return [(W, real_form(A, J), slice(None), k)]
+    ncv, used = max(2 * k + 1, 20), []
+    for i, p in enumerate(perms):
+        if (i < 2 or len(used) == 2) and _odd_size(n, (*used, p)) > ncv:
+            used.append(p)
+    if not used:
+        return [(None, A, slice(None), k)]
+    T = used[2] if len(used) == 3 else None
     sectors = []
-    for sx, sy in itertools.product(*signs):
-        d = 2 ** ((sx < 0) + (sy < 0)) + (transpose and sx != sy)
-        ks = -(-k // d)
-        if transpose and sx != sy and sx < 0:       # the twin of (even x, odd y)
-            swap = np.arange(grid.ncells).reshape(grid.shape).T.ravel()
-            sectors.append((sectors[-1][0][swap], None, ks))
-        elif transpose and sx == sy:
-            sectors.append((*_sector(K, grid.shape, (sx, sy), 1), ks))
-            sectors.append((*_sector(K, grid.shape, (sx, sy), -1), -(-ks // 2)))
+    for signs in itertools.product((1, -1), repeat=min(len(used), 2)):
+        twin = T is not None and signs[0] != signs[1]
+        ks = -(-k // (2 ** signs.count(-1) + twin))
+        mirrors = list(zip(used, signs))
+        if twin and signs[0] < 0:
+            sectors.append((sectors[-1][0][T], None, None, ks))
+        elif twin or T is None:
+            sectors.append((*_fold(A, mirrors), ks))
         else:
-            sectors.append((*_sector(K, grid.shape, (sx, sy)), ks))
+            sectors.append((*_fold(A, mirrors + [(T, 1)]), ks))
+            sectors.append((*_fold(A, mirrors + [(T, -1)]), -(-ks // 2)))
     return sectors
 
 
-def _sector_mass(Q: sp.spmatrix, mass: np.ndarray) -> np.ndarray:
-    """Mass of each sector unknown: that of the first cell its column of Q
-    spans.  A symmetry maps each cell to one of equal mass, so every cell
-    of an orbit would do."""
-    Q = Q.tocsc()
-    return mass[Q.indices[Q.indptr[:-1]]]
+def folded_eigenpairs(A: sp.csr_matrix, mass: np.ndarray, perms, J, k: int):
+    """The k lowest eigenpairs (lam, X, residuals) of the Hermitian
+    A x = lam diag(mass) x, solved one symmetry sector at a time
+    (``_sectors``); ``perms`` and J are permutations of A's dofs as
+    ``symmetries`` gives them, and each keeps the mass.
 
-
-def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
-    """The ``count`` smallest eigenpairs; under Neumann the constant mode is
-    dropped and the ``count`` after it returned.  A Bloch grid at phase 1
-    keeps its zero eigenvalue as the first.
-
-    A mirror-symmetric 2D grid is solved one symmetry sector at a time
-    (even or odd in x, times even or odd in y; see ``_reflection_sectors``):
-    each sector asks the count-mode solver only for the pairs it can hold
-    among the lowest, its vectors are unfolded onto the grid, and the
-    smallest of all are kept.  A double eigenvalue that the symmetry causes
-    lands in two sectors, so no single Lanczos run has to resolve it, and
-    each sector factors a quarter-size matrix or less.  That is up to four
-    solves; five on a square grid whose mask is also transpose-symmetric:
-    the two odd-by-even sectors are each other's transpose, so one solve
-    gives both, and the even-by-even and odd-by-odd sectors each split into
-    a transpose-even and a transpose-odd half.  An inversion-symmetric
-    Bloch grid is one real sector.  Other grids are one
-    sector.  Unfolded pairs pass the residual gate again on the full grid.
-    The eigenvalues are the Rayleigh quotients of the solver: the quotient
-    on a sector is the quotient on the full grid.
+    Each sector's pairs are moved onto the dofs and the k lowest of all are
+    kept.  A double eigenvalue that the symmetry causes lands in two
+    sectors, so no single Lanczos run has to resolve it.  The eigenvalues
+    are the sector solves' Rayleigh quotients, which are those on A, and
+    folded pairs pass the residual gate again on A.
     """
-    if not 1 <= count < opr.dimension - 1:
-        raise ValueError("count must be >= 1 and small relative to the dimension")
-    mass = opr.grid.mass
-    neumann = opr.bc.kind == "neumann"
-    k_ask = count + 1 if neumann else count
-    sectors = _reflection_sectors(opr, k_ask)
+    sectors = _sectors(A, perms, J, k)
     lams, vecs = [], []
-    for Q, Ks, ks in sectors:
-        if Ks is not None:      # else the pairs of the sector before, moved by Q
-            w, y, res = shift_invert_eigenpairs(
-                Ks, mass if Q is None else _sector_mass(Q, mass), ks)
+    for Q, S, cells, ks in sectors:
+        if S is not None:       # else the pairs of the sector before, moved by Q
+            w, y, res = shift_invert_eigenpairs(S, mass[cells], ks)
         lams.append(w)
         vecs.append(y if Q is None else Q @ y)
     w = np.concatenate(lams)
-    order = np.argsort(w)[:k_ask]
+    order = np.argsort(w)[:k]
     w, v = w[order], np.hstack(vecs)[:, order]
-    if sectors[0][0] is not None:       # the gate's scale is that of the full operator
+    if sectors[0][0] is not None:       # the gate's scale is that of A
         root = np.sqrt(mass)
-        res = _residuals(opr.K, root, v * root[:, None], w)
+        res = _residuals(A, root, v * root[:, None], w)
+    return w, v, res
+
+
+def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
+    """The ``count`` smallest eigenpairs, solved by the operator's exact
+    symmetries (``folded_eigenpairs``); under Neumann the constant mode is
+    dropped and the ``count`` after it returned.  A Bloch grid at phase 1
+    keeps its zero eigenvalue as the first.
+    """
+    if not 1 <= count < opr.dimension - 1:
+        raise ValueError("count must be >= 1 and small relative to the dimension")
+    neumann = opr.bc.kind == "neumann"
+    w, v, res = folded_eigenpairs(opr.K, opr.grid.mass,
+                                  *symmetries(opr.labels, opr.grid.shape, opr.bc),
+                                  count + 1 if neumann else count)
     meta = {"constant_mode_lambda": float(w[0])} if neumann else {}
     if neumann:
         check_constant_mode(w[0], w[1])

@@ -36,9 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
-from .fdm import (augmented_side, build_grid, check_constant_mode, count_below,
-                  eigenpairs_below, face_phase, factor, interface_dofs, label_reflection,
-                  real_form)
+from .fdm import (_relabeling, augmented_side, build_grid, check_constant_mode, count_below,
+                  eigenpairs_below, face_phase, factor, interface_dofs, symmetries)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -151,6 +150,20 @@ class ExteriorSystem:
 
     def helmholtz_factor(self, lam):
         return factor(self.K_EE - lam * sp.diags(self.exterior_mass))
+
+    def symmetries(self):
+        """``fdm.symmetries`` of the grid as permutations of the pencil dofs:
+        each cell permutation on the exterior cells (it maps them onto
+        themselves; ``idx_out`` is sorted), then the relabeling it makes of
+        the inclusion constants."""
+        grid, idx = self.grid, self.idx_out
+
+        def on_dofs(p):
+            pi = _relabeling(grid.labels, p)
+            return np.concatenate([np.searchsorted(idx, p[idx]), idx.size - 1 + pi[1:]])
+
+        perms, J = symmetries(grid.labels, grid.shape, self.medium.bc)
+        return [on_dofs(p) for p in perms], None if J is None else on_dofs(J)
 
 
 def build_exterior(medium: ContrastMedium, n: int = None) -> ExteriorSystem:
@@ -363,11 +376,6 @@ class _BlochPencil:
     puts -g conj(p) and -g p on two off-diagonal pencil entries, g the
     face's unit-coefficient conductance; :meth:`at` rewrites the entries of
     the faces whose phase differs from the build's.
-
-    ``J`` is the point reflection of an inversion-symmetric cell
-    (``fdm.label_reflection``) on the pencil indices, else None: it reverses
-    the exterior cells (``idx_out`` is sorted) and maps each inclusion
-    constant to that of its image.  Then J A J = conj(A) and J keeps the mass.
     """
 
     def __init__(self, medium: ContrastMedium, n: int = None):
@@ -375,9 +383,6 @@ class _BlochPencil:
         self.A, self.mass = self.ext.A, self.ext.mass
         grid = self.ext.grid
         self.g = 1.0 / grid.h * grid.faces.area
-        pi = label_reflection(grid.labels)
-        nE = self.ext.idx_out.size
-        self.J = None if pi is None else np.concatenate([np.arange(nE)[::-1], nE - 1 + pi[1:]])
 
     def at(self, k) -> sp.csc_matrix:
         """The pencil matrix A at Bloch number k (the mass does not change)."""
@@ -391,12 +396,6 @@ class _BlochPencil:
         A[a, b] = -self.g[f] * np.conj(phase[f])    # stored entries: written in place
         A[b, a] = -self.g[f] * phase[f]
         return A
-
-    def operator(self, k) -> sp.spmatrix:
-        """The matrix solved at Bloch number k: ``fdm.real_form`` of :meth:`at`
-        when ``J`` is set (the same eigenvalues), else :meth:`at` itself."""
-        A = self.at(k)
-        return A if self.J is None else real_form(A, self.J)
 
 
 def limit_spectrum_neumann(medium: ContrastMedium, lam_max: float,

@@ -248,20 +248,43 @@ def test_inversion_symmetric_pencils_are_solved_in_real_form(geom, n, ks, images
     # J reverses the exterior cells and maps each inclusion constant to that
     # of its image inclusion
     pencil = limitspec._BlochPencil(at_k(geom, 0.5), n)
-    J, mass = pencil.J, pencil.mass
-    nE = pencil.ext.K_EE.shape[0]
+    perms, J = pencil.ext.symmetries()
+    mass, nE = pencil.mass, pencil.ext.K_EE.shape[0]
+    assert perms == []
     assert np.array_equal(J, np.concatenate([np.arange(nE)[::-1], nE - 1 + np.array(images)]))
-    assert np.array_equal(mass[J], mass)
     for k in ks:
         A = pencil.at(k)
-        assert (A[J][:, J] != A.conj()).nnz == 0
-        S = pencil.operator(k)
+        S = fdm.real_form(A, J)
         assert S.dtype == float and (S != S.T).nnz == 0
         w = fdm.shift_invert_eigenpairs(S, mass, 4)[0]
         c = fdm.shift_invert_eigenpairs(A, mass, 4)[0]
         assert np.abs(w - c).max() <= 1e-12 * c.max()
 
 
-def test_an_asymmetric_pencil_stays_complex():
-    pencil = limitspec._BlochPencil(at_k(ASYM, 0.5), 200)
-    assert pencil.J is None and pencil.operator(0.7).dtype == complex
+@pytest.fixture
+def solved_dtypes(monkeypatch):
+    """The dtype of the matrix of each shift-invert solve."""
+    dtypes = []
+    inner = fdm.shift_invert_eigenpairs
+
+    def typed(A, *args):
+        dtypes.append(A.dtype)
+        return inner(A, *args)
+
+    monkeypatch.setattr(fdm, "shift_invert_eigenpairs", typed)
+    return dtypes
+
+
+def test_an_asymmetric_pencil_stays_complex(solved_dtypes):
+    assert limitspec.build_exterior(at_k(ASYM, 0.5), 200).symmetries() == ([], None)
+    bloch.dispersion_sweep(at_k(ASYM, 0.5), [0.7], 3, [0.0], 200)
+    assert solved_dtypes == [complex]
+
+
+@pytest.mark.parametrize("geom, n", [(SQUARE, None), (MIRROR_PAIR, 400)])
+def test_sweep_rows_of_symmetric_pencils_are_real_solves(geom, n, solved_dtypes):
+    row = bloch.dispersion_sweep(at_k(geom, 0.5), [0.7], 4, [0.0], n).branches[0.0][0]
+    assert solved_dtypes == [float]
+    pencil = limitspec._BlochPencil(at_k(geom, 0.5), n)
+    c = fdm.shift_invert_eigenpairs(pencil.at(0.7), pencil.mass, 4)[0]
+    assert np.abs(row - c).max() <= 1e-12 * c.max()

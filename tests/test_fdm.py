@@ -409,11 +409,21 @@ class TestReflectionSectors:
         fdm.smallest_eigenpairs(fdm.assemble(split_cases()[case]), 6)
         assert solves == plan
 
+    def test_the_transposition_needs_both_mirrors(self, solves):
+        # on the 8 x 8 square the y split would leave 16 unknowns, no more
+        # than ARPACK's Krylov space of 20: x alone splits, and the
+        # transposition, which swaps the mirrors, is not used either
+        opr = fdm.assemble(med2d(1e-2, h=1 / 8))
+        w = fdm.smallest_eigenpairs(opr, 6).eigenvalues
+        assert solves == [(32, 6), (32, 3)]
+        ref = sla.eigvalsh(opr.K.toarray())[:6] / opr.grid.cell_volume
+        assert np.allclose(w, ref, rtol=1e-10, atol=0)
+
     @pytest.mark.parametrize("case", list(SECTOR_SOLVES))
     def test_sector_operators_are_exactly_symmetric(self, case):
         opr = fdm.assemble(split_cases()[case])
         K = opr.K
-        for Q, S, _ in fdm._reflection_sectors(opr, 7):
+        for Q, S, _, _ in fdm._sectors(K, *fdm.symmetries(opr.labels, opr.grid.shape, opr.bc), 7):
             if S is not None:
                 assert (S != S.T).nnz == 0
                 assert abs(Q.T @ K @ Q - S).max() <= 1e-14 * abs(K).max()
@@ -422,8 +432,9 @@ class TestReflectionSectors:
     def test_even_and_odd_sectors_commute_with_the_transpose(self, case):
         opr = fdm.assemble(split_cases()[case])
         n = opr.grid.shape[0]
+        px, py, _ = fdm.symmetries(opr.labels, opr.grid.shape, opr.bc)[0]
         for sign, m in ((1, (n + 1) // 2), (-1, n // 2)):
-            S = fdm._sector(opr.K, opr.grid.shape, (sign, sign))[1]
+            S = fdm._fold(opr.K, [(px, sign), (py, sign)])[1]
             P = np.arange(m * m).reshape(m, m).T.ravel()
             assert S.shape == (m * m, m * m) and (S[P][:, P] != S).nnz == 0
 
@@ -443,22 +454,6 @@ class TestReflectionSectors:
         v1, v2 = res.eigenvectors[:, 1], res.eigenvectors[:, 2]
         assert abs(v1 @ v2) * opr.grid.cell_volume < 1e-10
 
-    @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
-    @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
-    def test_operator_commutes_with_the_reflections(self, rects, bc):
-        K = fdm.assemble(med2d(1e-3, h=1 / 32, bc=bc, rects=rects)).K
-        idx = np.arange(K.shape[0]).reshape(32, 32)
-        for ax in (0, 1):
-            P = np.flip(idx, ax).ravel()
-            assert abs(K[P][:, P] - K).max() == 0
-
-    @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
-    @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
-    def test_operator_commutes_with_the_transpose(self, rects, bc):
-        K = fdm.assemble(med2d(1e-3, h=1 / 32, bc=bc, rects=rects)).K
-        P = np.arange(K.shape[0]).reshape(32, 32).T.ravel()
-        assert abs(K[P][:, P] - K).max() == 0
-
 
 # inversion-symmetric Bloch cells: the 1D cell with two mirror-image
 # inclusions, the centred square and the four corners (whose labels the
@@ -476,10 +471,8 @@ class TestPointReflection:
 
     @pytest.mark.parametrize("med, n", INVERSION_CASES)
     def test_reflection_conjugates_the_operator_exactly(self, med, n):
-        K = fdm.assemble(med, n).K
-        J = np.arange(K.shape[0])[::-1]
-        assert fdm.label_reflection(fdm.build_grid(med, n).labels) is not None
-        assert (K[J][:, J] != K.conj()).nnz == 0
+        opr = fdm.assemble(med, n)
+        K, J = opr.K, fdm.symmetries(opr.labels, opr.grid.shape, opr.bc)[1]
         S = fdm.real_form(K, J)
         assert S.dtype == float and (S != S.T).nnz == 0
         # S is W^H K W for the unitary W = ((1+i) I + (1-i) P_J) / 2
@@ -503,6 +496,75 @@ class TestPointReflection:
         # the complex solve of the same operator, which the real form replaces
         c = fdm.shift_invert_eigenpairs(K, np.full(opr.dimension, vol), 6)[0]
         assert np.abs(w - c).max() <= 1e-12 * scale
+
+
+OFF_CENTRE = ((0.25, 0.5, 0.25, 0.625),)
+ASYM = Geometry1D(-1.0, 1.0, ((-0.6, 0.2),))
+
+
+def on_grid(med, n=None):
+    """The grid operator, its mass and its symmetries."""
+    opr = fdm.assemble(med, n)
+    return opr.K, opr.grid.mass, fdm.symmetries(opr.labels, opr.grid.shape, opr.bc)
+
+
+def on_pencil(med):
+    """The eps = 0 pencil of a bounded grid, its mass and its symmetries."""
+    ext = limitspec.build_exterior(med)
+    return ext.A.tocsr(), ext.mass, ext.symmetries()
+
+
+def on_bloch_pencil(geom, k, n=None):
+    """The eps = 0 pencil of a Bloch cell, built at k = 0.5 and re-phased to
+    k as a sweep does, its mass and its symmetries."""
+    pencil = limitspec._BlochPencil(ContrastMedium(geom, 0.0, BoundaryKind.bloch(0.5)), n)
+    return pencil.at(k), pencil.mass, pencil.ext.symmetries()
+
+
+def square(rects=((0.25, 0.75, 0.25, 0.75),)):
+    return med2d(h=1 / 32, rects=rects).geometry
+
+
+# name: (operator, mass and symmetries; commuting permutations found; J found)
+SYMMETRY_CASES = {
+    **{f"{name}-{bc.kind}": (functools.partial(on_grid, med2d(1e-3, 1 / 32, bc, rects)), 3, False)
+       for name, rects in (("centred", ((0.25, 0.75, 0.25, 0.75),)), ("corners", CORNERS))
+       for bc in (BoundaryKind.dirichlet(), BoundaryKind.neumann())},
+    **{case: (functools.partial(on_grid, split_cases()[case]), count, False)
+       for case, count in (("odd", 3), ("wide", 2), ("rect", 2))},
+    "off-centre": (functools.partial(on_grid, med2d(1e-2, 1 / 32, rects=OFF_CENTRE)), 0, False),
+    "off-centre-bloch": (functools.partial(
+        on_grid, med2d(1e-2, 1 / 32, BoundaryKind.bloch(0.4), OFF_CENTRE)), 0, False),
+    "interval": (functools.partial(on_grid, med1d(1e-2), 200), 0, False),
+    "interval-neumann": (functools.partial(on_grid, med1d(1e-2, BoundaryKind.neumann()), 200),
+                         0, False),
+    **{f"inversion-{i}": (functools.partial(on_grid, med, n), 0, True)
+       for i, (med, n) in enumerate(INVERSION_CASES)},
+    "asym-bloch": (functools.partial(
+        on_grid, ContrastMedium(ASYM, 1e-1, BoundaryKind.bloch(0.7)), 200), 0, False),
+    **{f"bounded-pencil-{case}": (functools.partial(on_pencil, split_cases()[case]), count, False)
+       for case, count in (("dirichlet", 3), ("neumann", 3), ("corners", 3), ("rect", 2))},
+    **{f"bloch-pencil-{name}-{i}": (functools.partial(on_bloch_pencil, geom, k, n), 0, True)
+       for name, geom, n, ks in (
+           ("square", square(), None, (0.7, (0.3, -1.1), 0.0, (np.pi, np.pi))),
+           ("corners", square(CORNERS), None, (0.7, (0.3, -1.1), 0.0, (np.pi, np.pi))),
+           ("mirror-pair", TWO, 400, (0.7, -1.1, 0.0, np.pi)))
+       for i, k in enumerate(ks)},
+    "bloch-pencil-asym": (functools.partial(on_bloch_pencil, ASYM, 0.7, 200), 0, False),
+}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_CASES))
+def test_every_symmetry_found_is_exact(case):
+    # each commuting p maps A onto itself and each J onto its conjugate,
+    # bitwise, and each keeps the mass
+    build, count, has_J = SYMMETRY_CASES[case]
+    A, mass, (perms, J) = build()
+    assert len(perms) == count and (J is not None) == has_J
+    for p in perms:
+        assert (A[p][:, p] != A).nnz == 0 and np.array_equal(mass[p], mass)
+    if J is not None:
+        assert (A[J][:, J] != A.conj()).nnz == 0 and np.array_equal(mass[J], mass)
 
 
 class TestSolve:
