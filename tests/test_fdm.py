@@ -454,6 +454,22 @@ class TestReflectionSectors:
         v1, v2 = res.eigenvectors[:, 1], res.eigenvectors[:, 2]
         assert abs(v1 @ v2) * opr.grid.cell_volume < 1e-10
 
+    @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
+    @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
+    def test_operator_commutes_with_the_reflections(self, rects, bc):
+        K = fdm.assemble(med2d(1e-3, h=1 / 32, bc=bc, rects=rects)).K
+        idx = np.arange(K.shape[0]).reshape(32, 32)
+        for ax in (0, 1):
+            P = np.flip(idx, ax).ravel()
+            assert abs(K[P][:, P] - K).max() == 0
+
+    @pytest.mark.parametrize("rects", [((0.25, 0.75, 0.25, 0.75),), CORNERS])
+    @pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann()])
+    def test_operator_commutes_with_the_transpose(self, rects, bc):
+        K = fdm.assemble(med2d(1e-3, h=1 / 32, bc=bc, rects=rects)).K
+        P = np.arange(K.shape[0]).reshape(32, 32).T.ravel()
+        assert abs(K[P][:, P] - K).max() == 0
+
 
 # inversion-symmetric Bloch cells: the 1D cell with two mirror-image
 # inclusions, the centred square and the four corners (whose labels the
