@@ -330,7 +330,7 @@ def run_validate(cfg: dict, out: str, fmt: str = "csv") -> dict:
         # mass-weighted mean zero, so solvable where the constants span the kernel
         mass = sysd.grid.mass
         f = np.where(sysd.grid.labels > 0, 1.0, 0.5)
-        f = f - mass @ f / np.sum(mass)
+        f = f - fdm.vdot(mass, f) / np.sum(mass)
         worst = 0.0
         for eps in (1e-1, 1e-3):
             u, _tr = dtn.apply_Bhat(sysd, eps, f)

@@ -1,28 +1,16 @@
 """Discrete Dirichlet-to-Neumann reduction onto the interface.
 
-The reduction views ``fdm.augmented``'s contrast-free pair (A0, A1): the
-cell system augmented with one dof per interface face (the trace value at
-the face center), whose operator at contrast eps is A0 + A1 / eps.
-Eliminating the face dofs reproduces the harmonic-mean matrix of
-``fdm.assemble``, so the reduction is an algebraic identity with the
-direct solve.  Eliminating the cells instead gives the interface flux
-operators with the contrast factored out: Nm, the Schur complement of A1's
-inclusion side on the face dofs, and Np, minus that of A0's exterior side.
-The interface equation reads
+A view of ``fdm.augmented``'s (A0, A1), the cell system with one dof per
+interface face.  Eliminating the cells gives the interface flux maps with
+the contrast factored out, Nm (inclusion side, from A1) and Np (exterior
+side, from A0), and the interface equation
 
-    (Nm - eps * Np) phi = eps * (Mp f_plus - Mm f_minus),
+    (Nm - eps * Np) phi = eps * (Mp f_plus - Mm f_minus).
 
-with Nm the (eps-independent) interior flux map, Np the exterior one, and
-Mp/Mm the source-to-flux maps.  Traces split into per-inclusion constants
-plus zero-mean remainders; the block elimination in that splitting is
-what evaluates the inverse at eps = 0 and exposes the flux constant that
-determines the inclusion value.  Under a Neumann closure, or a Bloch one
-with phase 1 on every wrap face, the global constant is in the kernel of
-both maps, and the m x m constants system is bordered with 1_m; for those
-closures this is also the one eps = 0 source solve.
-
-Nm and Np are each read off the trailing block of one unpivoted sparse LU
-of their side's augmented system, with no dense right-hand side.
+Traces split into per-inclusion constants and zero-mean parts, and the
+block elimination in that splitting solves it at every eps >= 0, 0
+included.  Where the constants span the kernel (``fdm.check_solvable``),
+the m x m constants system is bordered with 1_m.
 """
 
 from __future__ import annotations
@@ -31,11 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import get_blas_funcs
 
 from .fdm import (DiscreteOperator, EigensolverError, Grid, augmented, build_grid,
-                  cell_sigma, check_solvable, factor, interface_dofs)
+                  cell_sigma, check_solvable, factor, interface_dofs, matmul, vdot)
 from .geometry import ContrastMedium, GeometryError
 
 __all__ = [
@@ -103,30 +91,29 @@ class DtNSystem:
 
     @cached_property
     def Np11(self) -> np.ndarray:
-        return self.C.T @ self.Np @ self.C
+        return matmul(matmul(self.C, self.Np, 2), self.C)
 
     @cached_property
     def Np12(self) -> np.ndarray:
-        return self.C.T @ self.Np @ self.Z
+        return matmul(matmul(self.C, self.Np, 2), self.Z)
 
     @cached_property
     def Np21(self) -> np.ndarray:
-        return self.Z.conj().T @ self.Np @ self.C
+        return matmul(matmul(self.Z, self.Np, 2), self.C)
 
     @cached_property
     def Np22(self) -> np.ndarray:
-        return self.Z.conj().T @ self.Np @ self.Z
+        return matmul(matmul(self.Z, self.Np, 2), self.Z)
 
     @cached_property
     def Nm22(self) -> np.ndarray:
-        return self.Z.conj().T @ self.Nm @ self.Z
+        return matmul(matmul(self.Z, self.Nm, 2), self.Z)
 
     def decompose(self, phi: np.ndarray) -> TraceFunction:
         """Split a trace into per-inclusion constants and zero-mean parts."""
-        counts = self.C.sum(axis=0)
-        consts = (self.C.T @ phi) / counts
-        perp = phi - self.C @ consts
-        return TraceFunction(np.asarray(phi), consts, perp)
+        phi = np.asarray(phi)
+        consts = matmul(self.C, phi, 2) / self.C.sum(axis=0)
+        return TraceFunction(phi, consts, phi - matmul(self.C, consts))
 
     def Mm(self, f_minus: np.ndarray) -> np.ndarray:
         """Source-to-flux map of the interior problem (zero trace)."""
@@ -141,8 +128,8 @@ class DtNSystem:
     def epsilon_max(self) -> float:
         """Computable surrogate for the admissible contrast range:
         0.5 / ||inv(Nm22) Np22|| in the spectral norm."""
-        nrm = np.linalg.norm(np.linalg.solve(self.Nm22, self.Np22), 2)
-        return 0.5 / max(nrm, 1e-300)
+        X = sla.solve(self.Nm22, self.Np22, assume_a="gen")
+        return 0.5 / max(np.max(sla.svdvals(X), initial=0.0), 1e-300)
 
 
 def _schur(lu, A: sp.spmatrix, cells: np.ndarray, dofs: np.ndarray) -> np.ndarray:
@@ -159,10 +146,7 @@ def _schur(lu, A: sp.spmatrix, cells: np.ndarray, dofs: np.ndarray) -> np.ndarra
     n, ident = cells.size, np.arange(order.size)
     if not (np.array_equal(aug.perm_r, ident) and np.array_equal(aug.perm_c, ident)):
         raise EigensolverError("the Schur complement needs an unpivoted factor")
-    L22, U22 = aug.L[n:, n:].toarray(), aug.U[n:, n:].toarray()
-    # scipy's BLAS, whose threads the factorization has just woken: with two
-    # CPUs, numpy's own pool run against them took 15 ms at nG = 192, not 0.5
-    return get_blas_funcs("gemm", (L22, U22))(1.0, L22, U22)
+    return matmul(aug.L[n:, n:].toarray(), aug.U[n:, n:].toarray())
 
 
 def build_dtn(medium: ContrastMedium, n: int = None) -> DtNSystem:
@@ -244,31 +228,30 @@ def solve_block_system(sys: DtNSystem, eps: float, f: np.ndarray) -> TraceFuncti
     grounded = check_solvable(sys.medium.bc, sys.grid, f)
     f_in, f_out = f[sys._idx_in], f[sys._idx_out]
     g = sys.Mp(f_out) - sys.Mm(f_in)
-    gc = sys.C.T.conj() @ g
-    gp = sys.Z.conj().T @ g
+    gc, gp = matmul(sys.C, g, 2), matmul(sys.Z, g, 2)
     m = sys.n_inclusions
     if eps == 0.0:
         A, rhs = sys.Np11, -gc
     else:
         B = sys.Nm22 - eps * sys.Np22
         try:
-            X = np.linalg.solve(B, np.column_stack([sys.Np21, gp]))
+            X = sla.solve(B, np.column_stack([sys.Np21, gp]), assume_a="gen")
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"zero-mean block singular at eps={eps}: {exc}") from exc
         Xc, xg = X[:, :m], X[:, m]
-        A = sys.Np11 + eps * (sys.Np12 @ Xc)
-        rhs = -gc - eps * (sys.Np12 @ xg)
+        A = sys.Np11 + eps * matmul(sys.Np12, Xc)
+        rhs = -gc - eps * matmul(sys.Np12, xg)
     if grounded:
         # A 1_m = 0: the border picks the constants of zero sum
         ones = np.ones((m, 1))
         A, rhs = np.block([[A, ones], [ones.T, np.zeros((1, 1))]]), np.append(rhs, 0.0)
     c = np.linalg.solve(A, rhs)[:m]
-    beta = eps * (Xc @ c + xg) if eps else np.zeros(sys.Z.shape[1], dtype=sys.Nm.dtype)
+    beta = eps * (matmul(Xc, c) + xg) if eps else np.zeros(sys.Z.shape[1], dtype=sys.Nm.dtype)
     det = np.linalg.det(A)
     if abs(det) < 1e-14 * max(1.0, np.linalg.norm(A)) ** len(A):
         raise RuntimeError(f"reduced constants system singular (det={det:.3e})")
-    phi = sys.C @ c + sys.Z @ beta
-    return TraceFunction(phi, c, sys.Z @ beta)
+    perp = matmul(sys.Z, beta)
+    return TraceFunction(matmul(sys.C, c) + perp, c, perp)
 
 
 def apply_Bhat(sys: DtNSystem, eps: float, f: np.ndarray):
@@ -293,7 +276,7 @@ def apply_Bhat(sys: DtNSystem, eps: float, f: np.ndarray):
                       if eps else tr.constants[sys.grid.labels[sys._idx_in] - 1])
     u[sys._idx_out] = sys._out_solve(mass[sys._idx_out] * f_out - sys._K_EG @ tr.values)
     if grounded:
-        mean = mass @ u / np.sum(mass)
+        mean = vdot(mass, u) / np.sum(mass)
         u, tr = u - mean, TraceFunction(tr.values - mean, tr.constants - mean, tr.perp)
     return u, tr
 

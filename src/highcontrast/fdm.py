@@ -28,6 +28,14 @@ cells, and ``folded_eigenpairs`` solves any (A, mass) one symmetry sector
 at a time by them.  A window (every eigenvalue up to lam_max,
 ``eigenpairs_below``) is sized by Sylvester's law of inertia, and the solve
 must agree with that count.
+
+Dense algebra whose size grows with the grid or the interface (products,
+solves, norms, QR, SVD) runs on scipy's BLAS and LAPACK: ``matmul``,
+``vdot``, ``norm`` and ``scipy.linalg``.  That is the OpenBLAS whose
+threads SuperLU and ARPACK already keep busy; numpy loads its own, and one
+threaded numpy call leaves that pool's workers spinning for about 0.1 s
+beside them.  m x m blocks (m inclusions), 2 x 2 transfer matrices and
+fits stay on numpy, which never threads them.
 """
 
 from __future__ import annotations
@@ -37,8 +45,10 @@ import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_blas_funcs
 
 from .geometry import (BoundaryKind, ContrastMedium, Geometry1D, Geometry2D,
                        GeometryError, RadialGeometry)
@@ -381,6 +391,26 @@ class SpectrumResult:
         return self.eigenvalues.size
 
 
+def matmul(a: np.ndarray, b: np.ndarray, trans_a: int = 0) -> np.ndarray:
+    """a @ b of dense arrays (a^H @ b with ``trans_a`` = 2) by scipy's BLAS
+    gemm; a vector b gives a vector."""
+    gemm = get_blas_funcs("gemm", (a, b))
+    if b.ndim == 1:
+        return gemm(1.0, a, b[:, None], trans_a=trans_a)[:, 0]
+    return gemm(1.0, a, b, trans_a=trans_a)
+
+
+def vdot(x: np.ndarray, y: np.ndarray):
+    """x^H y of two nonempty vectors by scipy's BLAS."""
+    return get_blas_funcs("dotc", (x, y))(x, y)
+
+
+def norm(x: np.ndarray) -> float:
+    """2-norm of a nonempty vector by scipy's BLAS: sqrt(x^H x), the sum
+    numpy's ``norm`` takes of a real vector."""
+    return float(np.sqrt(vdot(x, x).real))
+
+
 def _geometry_tag(medium: ContrastMedium) -> str:
     """Stable fingerprint of the geometry: sha256 over its fields and mask bytes."""
     geom = medium.geometry
@@ -461,11 +491,9 @@ def shift_invert_eigenpairs(A: sp.spmatrix, mass: np.ndarray, k: int):
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     # complex (Arnoldi) ARPACK returns a degenerate eigenspace in an arbitrary
-    # basis; only then is a QR paid for.  numpy's threaded LAPACK slows the
-    # ARPACK calls after it (a QR per solve made the bands study 60% slower);
-    # einsum calls no BLAS.
+    # basis; only then is a QR paid for
     if not np.allclose(np.einsum("ij,ik->jk", y.conj(), y), np.eye(w.size), atol=1e-10):
-        q, r = np.linalg.qr(y / np.linalg.norm(y, axis=0))
+        q, r = sla.qr(y / np.linalg.norm(y, axis=0), mode="economic")
         d = np.diag(r)
         if np.min(np.abs(d)) < 1e-8:
             raise EigensolverError("eigensolver returned linearly dependent eigenvectors")
@@ -531,30 +559,52 @@ def symmetries(labels: np.ndarray, shape: tuple[int, ...], bc: BoundaryKind):
     return perms, None
 
 
-def _orbits(n: int, signed):
-    """Orbit representative (first dof) and sign of each of n dofs in the
-    sector where each involution p of ``signed`` acts as its sign s
-    (x[p] = s x).  The permutations are composed one at a time, each
-    normalizing the group of those before it, so an orbit grows by its
-    image under p.  The sign is 0 on an orbit that p maps onto itself
-    under the other sign: its dofs drop out of the sector."""
-    rep, sign = np.arange(n), np.ones(n, dtype=int)
-    for p, s in signed:
-        img, flip = rep[p], s * sign[p]
-        sign = np.where(img < rep, flip, sign)
-        sign[(img == rep) & (flip != sign)] = 0
-        rep = np.minimum(rep, img)
-    return rep, sign
+def _orbits(n: int, perms=()):
+    """Orbits of n dofs under the involutions ``perms`` for every choice of
+    their signs at once: (rep, word, kill), built by ``_compose``."""
+    orbits = (np.arange(n), np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+    for j, p in enumerate(perms):
+        orbits = _compose(orbits, p, j)
+    return orbits
 
 
-def _odd_size(n: int, perms) -> int:
-    """Unknowns of the sector odd under every permutation, the smallest."""
-    rep, sign = _orbits(n, [(p, -1) for p in perms])
-    return np.count_nonzero(sign[rep == np.arange(n)])
+def _compose(orbits, p, j: int):
+    """``orbits`` with the involution p composed in as generator j.
+
+    Each dof has its orbit representative ``rep`` (the first dof) and a
+    ``word``, the bits of the generators whose signs multiply into its sign
+    (x[d] = sign x[rep]); ``kill`` holds, as bits 1 << w, the words whose
+    sign, if -1, drops the dof from the sector: an orbit that a generator
+    maps onto itself under the other sign.  The permutations are composed
+    one at a time, each normalizing the group of those before it, so an
+    orbit grows by its image under p."""
+    rep, word, kill = orbits
+    img, w = rep[p], word[p] ^ (1 << j)
+    move = img < rep
+    clash = np.where(img == rep, kill | kill[p] | (1 << (w ^ word)), kill)
+    return np.minimum(rep, img), np.where(move, w, word), np.where(move, kill[p], clash)
 
 
-def _fold(A: sp.csr_matrix, signed):
-    """(Q, Q^T A Q, cells) of one symmetry sector of A (``_orbits``): Q the
+def _signs(orbits, signs) -> np.ndarray:
+    """Sign of each dof in the sector where generator j acts as ``signs[j]``
+    (x[p] = s x): the product of the signs of its word, 0 on a dropped dof."""
+    _, word, kill = orbits
+    words = np.arange(2 ** len(signs))
+    chi = np.ones(words.size, dtype=int)
+    for j, s in enumerate(signs):
+        chi[(words >> j) & 1 == 1] *= s
+    return np.where(kill & np.sum(1 << words[chi < 0]), 0, chi[word])
+
+
+def _odd_size(orbits, count: int) -> int:
+    """Unknowns of the sector odd under every one of ``count`` generators,
+    the smallest."""
+    rep, sign = orbits[0], _signs(orbits, (-1,) * count)
+    return np.count_nonzero(sign[rep == np.arange(rep.size)])
+
+
+def _fold(A: sp.csr_matrix, orbits, signs):
+    """(Q, Q^T A Q, cells) of one symmetry sector of A (``_signs``): Q the
     sparse dof-by-sector matrix of orthonormal columns, ``cells`` the orbit
     representatives, whose masses are the sector's.
 
@@ -563,7 +613,7 @@ def _fold(A: sp.csr_matrix, signed):
     A's rows at the representatives times the signed orbit indicator, whose
     sums add equal entries only, so |orbit r| M_rs = |orbit s| M_sr holds
     bitwise and the result is exactly symmetric."""
-    rep, sign = _orbits(A.shape[0], signed)
+    rep, sign = orbits[0], _signs(orbits, signs)
     live = sign != 0
     cells = np.flatnonzero(live & (rep == np.arange(rep.size)))
     index = np.zeros(rep.size, dtype=int)
@@ -630,10 +680,14 @@ def _sectors(A: sp.csr_matrix, perms, J, k: int):
                            (np.tile(np.arange(n), 2), np.concatenate([np.arange(n), J]))),
                           shape=A.shape)
         return [(W, real_form(A, J), slice(None), k)]
-    ncv, used = max(2 * k + 1, 20), []
+    # orbits[g]: those of the first g permutations used, each composed once
+    ncv, used, orbits = max(2 * k + 1, 20), [], [_orbits(n)]
     for i, p in enumerate(perms):
-        if (i < 2 or len(used) == 2) and _odd_size(n, (*used, p)) > ncv:
-            used.append(p)
+        if i < 2 or len(used) == 2:
+            grown = _compose(orbits[-1], p, len(used))
+            if _odd_size(grown, len(used) + 1) > ncv:
+                used.append(p)
+                orbits.append(grown)
     if not used:
         return [(None, A, slice(None), k)]
     T = used[2] if len(used) == 3 else None
@@ -641,14 +695,13 @@ def _sectors(A: sp.csr_matrix, perms, J, k: int):
     for signs in itertools.product((1, -1), repeat=min(len(used), 2)):
         twin = T is not None and signs[0] != signs[1]
         ks = -(-k // (2 ** signs.count(-1) + twin))
-        mirrors = list(zip(used, signs))
         if twin and signs[0] < 0:
             sectors.append((sectors[-1][0][T], None, None, ks))
         elif twin or T is None:
-            sectors.append((*_fold(A, mirrors), ks))
+            sectors.append((*_fold(A, orbits[len(signs)], signs), ks))
         else:
-            sectors.append((*_fold(A, mirrors + [(T, 1)]), ks))
-            sectors.append((*_fold(A, mirrors + [(T, -1)]), -(-ks // 2)))
+            sectors.append((*_fold(A, orbits[3], (*signs, 1)), ks))
+            sectors.append((*_fold(A, orbits[3], (*signs, -1)), -(-ks // 2)))
     return sectors
 
 
@@ -736,7 +789,7 @@ def check_solvable(bc: BoundaryKind, grid: Grid, f: np.ndarray) -> bool:
     # every face of a Neumann grid has phase 1
     if bc.kind == "dirichlet" or np.max(np.abs(grid.faces.phase - 1)) > PHASE_ONE_TOL:
         return False
-    if abs(grid.mass @ f) / np.sum(grid.mass) > 1e-12 * max(1.0, np.max(np.abs(f))):
+    if abs(vdot(grid.mass, f)) / np.sum(grid.mass) > 1e-12 * max(1.0, np.max(np.abs(f))):
         raise SolvabilityError("source must have zero mesh mean: the constants span the kernel")
     return True
 
@@ -749,11 +802,11 @@ def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     if check_solvable(opr.bc, opr.grid, f):
         # ground one cell of the consistent singular system, then shift
         u = np.append(factor(opr.K[:-1, :-1]).solve(rhs[:-1]), 0.0)
-        u = u - opr.grid.mass @ u / np.sum(opr.grid.mass)
+        u = u - vdot(opr.grid.mass, u) / np.sum(opr.grid.mass)
     else:
         u = factor(opr.K).solve(rhs)
-    resid = np.linalg.norm(opr.K @ u - rhs)
-    scale = max(np.linalg.norm(rhs), abs(opr.K).max() * np.linalg.norm(u), 1e-300)
+    resid = norm(opr.K @ u - rhs)
+    scale = max(norm(rhs), abs(opr.K).max() * norm(u), 1e-300)
     if resid > TOL_SOLVE * scale:
         raise RuntimeError(f"direct solve residual too large: {resid:.2e}")
     return u

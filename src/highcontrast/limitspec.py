@@ -37,7 +37,8 @@ import scipy.sparse as sp
 
 from ._roots import POLE_MARGIN
 from .fdm import (_relabeling, augmented_side, build_grid, check_constant_mode, count_below,
-                  eigenpairs_below, face_phase, factor, interface_dofs, symmetries)
+                  eigenpairs_below, face_phase, factor, interface_dofs, matmul, norm,
+                  symmetries, vdot)
 from .geometry import BoundaryKind, ContrastMedium, GeometryError
 
 __all__ = [
@@ -276,12 +277,12 @@ def _pencil_pair(ext: ExteriorSystem, A, mass: np.ndarray, x: np.ndarray,
         c = np.zeros(ext.n_inclusions)
         x = x.copy()
         x[nE:] = 0.0
-        x /= np.sqrt(np.real(np.vdot(x, mass * x)))
+        x /= np.sqrt(vdot(x, mass * x).real)
     u_ext = x[:nE]
     r = A @ x - lam * (mass * x)
     scale = max(lam, 1.0)
-    pde = float(np.linalg.norm(r[:nE]) / (scale * np.linalg.norm(mass[:nE] * u_ext)))
-    flux = float(np.linalg.norm(r[nE:]) / (scale * np.linalg.norm(mass * x)))
+    pde = norm(r[:nE]) / (scale * norm(mass[:nE] * u_ext))
+    flux = float(np.linalg.norm(r[nE:]) / (scale * norm(mass * x)))
     return LimitEigenpair(lam, c, _full_field(ext, u_ext, c),
                           "constant_trace" if trace else "zero_flux", flux, pde)
 
@@ -351,12 +352,11 @@ def zero_flux_branch(medium: ContrastMedium, lam_max: float, n: int = None,
             if s_full[d] > thr:
                 excluded.append((lam, float(s_full[d])))
                 continue
-            u_ext = V @ Vh.conj().T[:, d]
-            u_ext = u_ext / np.sqrt(np.real(np.vdot(u_ext, ext.exterior_mass * u_ext)))
+            u_ext = matmul(V, Vh[d].conj())
+            u_ext = u_ext / np.sqrt(vdot(u_ext, ext.exterior_mass * u_ext).real)
             mu = ext.exterior_mass * u_ext
             flux = np.linalg.norm(ext.interface_flux(c0, u_ext))
-            res = np.linalg.norm(ext.K_EE @ u_ext - lam * mu)
-            pde = float(res / (max(lam, 1.0) * np.linalg.norm(mu)))
+            pde = norm(ext.K_EE @ u_ext - lam * mu) / (max(lam, 1.0) * norm(mu))
             pairs.append(LimitEigenpair(lam, c0, _full_field(ext, u_ext, c0),
                                         "zero_flux", float(flux), pde))
     return LimitSpectrum(tuple(pairs), excluded=tuple(excluded))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import get_blas_funcs
 
 from highcontrast import dtn, fdm, limitspec
 from highcontrast.geometry import (BoundaryKind, ContrastMedium, Geometry1D,
@@ -226,9 +227,14 @@ def test_interface_dofs_grouped_by_inclusion():
 def test_blocks_computed_once():
     sysd = dtn.build_dtn(ContrastMedium(ASYM, 1e-2, BoundaryKind.bloch(0.7)), 200)
     C, Z = sysd.C, sysd.Z
-    products = {"Np11": C.T @ sysd.Np @ C, "Np12": C.T @ sysd.Np @ Z,
-                "Np21": Z.conj().T @ sysd.Np @ C, "Np22": Z.conj().T @ sysd.Np @ Z,
-                "Nm22": Z.conj().T @ sysd.Nm @ Z}
+    gemm = get_blas_funcs("gemm", (sysd.Np,))
+
+    def product(left, N, right):        # left^H N right, (left^H N) first
+        return gemm(1.0, gemm(1.0, left, N, trans_a=2), right)
+
+    products = {"Np11": product(C, sysd.Np, C), "Np12": product(C, sysd.Np, Z),
+                "Np21": product(Z, sysd.Np, C), "Np22": product(Z, sysd.Np, Z),
+                "Nm22": product(Z, sysd.Nm, Z)}
     for name, expect in products.items():
         block = getattr(sysd, name)
         assert getattr(sysd, name) is block

@@ -434,7 +434,7 @@ class TestReflectionSectors:
         n = opr.grid.shape[0]
         px, py, _ = fdm.symmetries(opr.labels, opr.grid.shape, opr.bc)[0]
         for sign, m in ((1, (n + 1) // 2), (-1, n // 2)):
-            S = fdm._fold(opr.K, [(px, sign), (py, sign)])[1]
+            S = fdm._fold(opr.K, fdm._orbits(opr.dimension, [px, py]), (sign, sign))[1]
             P = np.arange(m * m).reshape(m, m).T.ravel()
             assert S.shape == (m * m, m * m) and (S[P][:, P] != S).nnz == 0
 
