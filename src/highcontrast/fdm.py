@@ -26,8 +26,12 @@ constant mode, a Bloch grid at phase 1 keeps it).  ``symmetries`` finds the
 exact symmetries of a grid operator as involutive permutations of its
 cells, and ``folded_eigenpairs`` solves any (A, mass) one symmetry sector
 at a time by them.  A window (every eigenvalue up to lam_max,
-``eigenpairs_below``) is sized by Sylvester's law of inertia, and the solve
-must agree with that count.
+``eigenpairs_below``) is solved by the same sectors, each certified
+complete on its own: up to ``DENSE_WINDOW`` unknowns by LAPACK's dense
+eigh and its Sturm count, above by shift-invert checked against
+Sylvester's law of inertia.  Only contrast-free operators take a window
+(the eps = 0 pencil and its exterior block): in a dense solve a 1/eps
+entry would swamp the small eigenvalues with its rounding.
 
 Dense algebra whose size grows with the grid or the interface (products,
 solves, norms, QR, SVD) runs on scipy's BLAS and LAPACK: ``matmul``,
@@ -81,6 +85,9 @@ TOL_SOLVE = 1e-10
 MAX_EIG_ITER = 500
 ALIGN_TOL = 1e-9
 PHASE_ONE_TOL = 1e-12   # |phase - 1| of a wrap face counted as phase 1 by ``solve``
+# sector unknowns up to which a window is solved dense: where dense eigh and
+# count + shift-invert both took 3 ms (2D eps = 0 pencil sectors, 2-vCPU x86)
+DENSE_WINDOW = 300
 
 
 class SolvabilityError(ValueError):
@@ -643,20 +650,20 @@ def real_form(A: sp.spmatrix, J: np.ndarray) -> sp.csr_matrix:
                          shape=A.shape)
 
 
-def _sectors(A: sp.csr_matrix, perms, J, k: int):
-    """The sectors A is solved in for its k lowest pairs, as (Q, S, cells,
-    k_s): Q the dof-by-sector matrix of orthonormal columns (None for A
-    whole), S = Q^H A Q, ``cells`` the dofs whose masses are the sector's,
-    and k_s the pairs asked of it.  A twin is listed with S None: it has the
-    pairs of the sector before it, moved by its Q.
+def _sectors(A: sp.csr_matrix, perms, J, floor: int):
+    """The sectors A is solved in, as (Q, S, cells, d): Q the dof-by-sector
+    matrix of orthonormal columns (None for A whole), S = Q^H A Q, ``cells``
+    the dofs whose masses are the sector's, and d its share of the k lowest
+    pairs, of which it is asked for ceil(k / d).  A twin is listed with S
+    None: it has the pairs of the sector before it, moved by its Q.
 
     With J, A is one real sector (W, ``real_form(A, J)``).  Else each
     permutation of ``perms`` (as ``symmetries`` orders them) splits every
     sector into an even and an odd half, unless the all-odd sector would
-    keep no more unknowns than ARPACK's Krylov space max(2k + 1, 20).  The
-    transposition is used only with both mirrors, which it swaps: it maps
-    the (even x, odd y) sector onto the (odd x, even y) one, its twin, and
-    splits the (even, even) and (odd, odd) sectors into halves.
+    keep no more than ``floor`` unknowns.  The transposition is used only
+    with both mirrors, which it swaps: it maps the (even x, odd y) sector
+    onto the (odd x, even y) one, its twin, and splits the (even, even) and
+    (odd, odd) sectors into halves.
 
     Each sector is asked only for the pairs it can hold among the k lowest.
     A sector odd under a mirror is the even one plus a positive
@@ -670,46 +677,64 @@ def _sectors(A: sp.csr_matrix, perms, J, k: int):
     twin.  If s held more than ceil(k / d) values at or below the k-th
     eigenvalue, so would every sector of D(s), and their asked pairs alone
     would be d ceil(k / d) >= k of them: so s is asked for ceil(k / d), and
-    a T-odd half for ceil(k_s / 2) when its T-even half is asked for k_s.
-    Not the floor: with k = 5, sectors (even, even) {1, 5, 6, ..} and
-    (even, odd) {5, 5, ..} would give 6.
+    a T-odd half for ceil(ceil(k / d) / 2) = ceil(k / 2d).  Not the floor:
+    with k = 5, sectors (even, even) {1, 5, 6, ..} and (even, odd)
+    {5, 5, ..} would give 6.
     """
     n = A.shape[0]
     if J is not None:
         W = sp.csr_matrix((np.repeat([0.5 + 0.5j, 0.5 - 0.5j], n),
                            (np.tile(np.arange(n), 2), np.concatenate([np.arange(n), J]))),
                           shape=A.shape)
-        return [(W, real_form(A, J), slice(None), k)]
+        return [(W, real_form(A, J), slice(None), 1)]
     # orbits[g]: those of the first g permutations used, each composed once
-    ncv, used, orbits = max(2 * k + 1, 20), [], [_orbits(n)]
+    used, orbits = [], [_orbits(n)]
     for i, p in enumerate(perms):
         if i < 2 or len(used) == 2:
             grown = _compose(orbits[-1], p, len(used))
-            if _odd_size(grown, len(used) + 1) > ncv:
+            if _odd_size(grown, len(used) + 1) > floor:
                 used.append(p)
                 orbits.append(grown)
     if not used:
-        return [(None, A, slice(None), k)]
+        return [(None, A, slice(None), 1)]
+    A = A.tocsr()       # ``_fold`` scales the rows of a CSR product
     T = used[2] if len(used) == 3 else None
     sectors = []
     for signs in itertools.product((1, -1), repeat=min(len(used), 2)):
         twin = T is not None and signs[0] != signs[1]
-        ks = -(-k // (2 ** signs.count(-1) + twin))
+        d = 2 ** signs.count(-1) + twin
         if twin and signs[0] < 0:
-            sectors.append((sectors[-1][0][T], None, None, ks))
+            sectors.append((sectors[-1][0][T], None, None, d))
         elif twin or T is None:
-            sectors.append((*_fold(A, orbits[len(signs)], signs), ks))
+            sectors.append((*_fold(A, orbits[len(signs)], signs), d))
         else:
-            sectors.append((*_fold(A, orbits[3], (*signs, 1)), ks))
-            sectors.append((*_fold(A, orbits[3], (*signs, -1)), -(-ks // 2)))
+            sectors.append((*_fold(A, orbits[3], (*signs, 1)), d))
+            sectors.append((*_fold(A, orbits[3], (*signs, -1)), 2 * d))
     return sectors
+
+
+def _sector_pairs(sectors, mass: np.ndarray, solve):
+    """(lam, X) of every sector, ascending: ``solve(S, mass of its cells,
+    d)`` gives a sector's pairs, which are moved onto the dofs by its Q; a
+    twin has the pairs of the sector before it."""
+    lams, vecs = [], []
+    for Q, S, cells, d in sectors:
+        if S is not None:
+            w, y = solve(S, mass[cells], d)
+        lams.append(w)
+        vecs.append(y if Q is None else Q @ y)
+    w = np.concatenate(lams)
+    order = np.argsort(w)
+    return w[order], np.hstack(vecs)[:, order]
 
 
 def folded_eigenpairs(A: sp.csr_matrix, mass: np.ndarray, perms, J, k: int):
     """The k lowest eigenpairs (lam, X, residuals) of the Hermitian
     A x = lam diag(mass) x, solved one symmetry sector at a time
-    (``_sectors``); ``perms`` and J are permutations of A's dofs as
-    ``symmetries`` gives them, and each keeps the mass.
+    (``_sectors``, split while the all-odd sector keeps more unknowns than
+    ARPACK's Krylov space max(2k + 1, 20)); ``perms`` and J are
+    permutations of A's dofs as ``symmetries`` gives them, and each keeps
+    the mass.
 
     Each sector's pairs are moved onto the dofs and the k lowest of all are
     kept.  A double eigenvalue that the symmetry causes lands in two
@@ -717,20 +742,14 @@ def folded_eigenpairs(A: sp.csr_matrix, mass: np.ndarray, perms, J, k: int):
     are the sector solves' Rayleigh quotients, which are those on A, and
     folded pairs pass the residual gate again on A.
     """
-    sectors = _sectors(A, perms, J, k)
-    lams, vecs = [], []
-    for Q, S, cells, ks in sectors:
-        if S is not None:       # else the pairs of the sector before, moved by Q
-            w, y, res = shift_invert_eigenpairs(S, mass[cells], ks)
-        lams.append(w)
-        vecs.append(y if Q is None else Q @ y)
-    w = np.concatenate(lams)
-    order = np.argsort(w)[:k]
-    w, v = w[order], np.hstack(vecs)[:, order]
-    if sectors[0][0] is not None:       # the gate's scale is that of A
-        root = np.sqrt(mass)
-        res = _residuals(A, root, v * root[:, None], w)
-    return w, v, res
+    sectors = _sectors(A, perms, J, max(2 * k + 1, 20))
+    if sectors[0][0] is None:
+        return shift_invert_eigenpairs(A, mass, k)
+    w, v = _sector_pairs(sectors, mass,
+                         lambda S, m, d: shift_invert_eigenpairs(S, m, -(-k // d))[:2])
+    w, v = w[:k], v[:, :k]
+    root = np.sqrt(mass)
+    return w, v, _residuals(A, root, v * root[:, None], w)
 
 
 def smallest_eigenpairs(opr: DiscreteOperator, count: int) -> SpectrumResult:
@@ -762,17 +781,43 @@ def check_constant_mode(lam0: float, lam1: float) -> None:
                                f"not zero next to {lam1:.3e}")
 
 
-def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
+def eigenpairs_below(A: sp.spmatrix, mass: np.ndarray, lam_max: float, perms=(), J=None):
     """All eigenpairs of A x = lam diag(mass) x with lam <= lam_max, ascending,
     mass-orthonormal; a zero eigenvalue of the semi-definite A is included.
 
-    ``count_below`` gives their number c, and the count mode is asked for
-    c + 1 pairs, of which exactly c must lie at or below lam_max: the count
-    and the solve check each other from both sides, so a copy of a multiple
-    eigenvalue that either one drops or adds raises."""
+    Solved one symmetry sector at a time (``perms`` and J as ``symmetries``
+    gives them), split wherever the all-odd sector keeps an unknown; each
+    sector's window is complete on its own (``_window``), and the merged
+    pairs pass the residual gate on A.  A must be contrast-free: a dense
+    sector's eigenvalues are accurate only to rounding times the largest."""
+    w, X = _sector_pairs(_sectors(A, perms, J, 0), mass,
+                         lambda S, m, d: _window(S, m, lam_max))
+    root = np.sqrt(mass)
+    _residuals(A, root, X * root[:, None], w)
+    return w, X
+
+
+def _window(A: sp.spmatrix, mass: np.ndarray, lam_max: float):
+    """Every eigenpair (lam, X) of one sector with lam <= lam_max, ascending.
+
+    Up to ``DENSE_WINDOW`` unknowns, LAPACK's eigh of D^-1/2 A D^-1/2
+    selects them by its own Sturm count.  Above, ``count_below`` gives
+    their number c, and shift-invert is asked for c + 1 pairs, of which
+    exactly c must lie at or below lam_max: the count and the solve check
+    each other from both sides, so a copy of a multiple eigenvalue that
+    either one drops or adds raises."""
+    n = A.shape[0]
+    if n <= DENSE_WINDOW:
+        root = np.sqrt(mass)
+        B = A.toarray() / np.outer(root, root)
+        # no eigenvalue lies below -max row sum of |B|; LAPACK bisects from
+        # this end, and from -inf one 108-dof sector took 16 ms, not 0.3 ms
+        low = -1.0 - np.max(np.sum(np.abs(B), axis=1))
+        w, y = sla.eigh(B, subset_by_value=(low, lam_max))
+        return w, y / root[:, None]
     c = count_below(A, mass, lam_max)
-    if c + 1 > A.shape[0] - 2:
-        raise EigensolverError(f"the window below {lam_max} holds {c} of {A.shape[0]} eigenvalues")
+    if c + 1 > n - 2:
+        raise EigensolverError(f"the window below {lam_max} holds {c} of {n} eigenvalues")
     w, X, _ = shift_invert_eigenpairs(A, mass, c + 1)
     if np.count_nonzero(w <= lam_max) != c:
         raise EigensolverError(f"the inertia count of {c} eigenvalues below {lam_max} "

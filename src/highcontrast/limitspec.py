@@ -145,8 +145,12 @@ class ExteriorSystem:
         return -(self.A[nE:, nE:] @ c + self.A[nE:, :nE] @ u_ext)
 
     def exterior_eigs(self, lam_max: float):
-        """Exterior eigenpairs (zero interface data) up to lam_max, unit-norm vectors."""
-        w, v = eigenpairs_below(self.K_EE, self.exterior_mass, lam_max)
+        """Exterior eigenpairs (zero interface data) up to lam_max, unit-norm
+        vectors, solved by the exterior-cell part of ``symmetries``."""
+        nE = self.idx_out.size
+        perms, J = self.symmetries()
+        w, v = eigenpairs_below(self.K_EE, self.exterior_mass, lam_max,
+                                [p[:nE] for p in perms], None if J is None else J[:nE])
         return w, v / np.linalg.norm(v, axis=0)
 
     def helmholtz_factor(self, lam):
@@ -288,14 +292,15 @@ def _pencil_pair(ext: ExteriorSystem, A, mass: np.ndarray, x: np.ndarray,
 
 
 def _pencil_spectrum(ext: ExteriorSystem, lam_max: float) -> LimitSpectrum:
-    """Every limit eigenpair up to lam_max from one sparse pencil solve.  The
-    closure decides the zero mode, as in ``fdm.smallest_eigenpairs``: Neumann
-    drops its constant mode (checked to be zero), a Bloch cell at phase 1
-    keeps lambda = 0 as its first eigenvalue."""
+    """Every limit eigenpair up to lam_max from the pencil's window, solved
+    one symmetry sector at a time.  The closure decides the zero mode, as in
+    ``fdm.smallest_eigenpairs``: Neumann drops its constant mode (checked to
+    be zero), a Bloch cell at phase 1 keeps lambda = 0 as its first
+    eigenvalue."""
     if lam_max <= 0:
         raise ValueError("lam_max must be > 0")
     A, mass = ext.A, ext.mass
-    w, X = eigenpairs_below(A, mass, lam_max)
+    w, X = eigenpairs_below(A, mass, lam_max, *ext.symmetries())
     if ext.medium.bc.kind == "neumann":
         # with no eigenvalue after it in the window, lam_max bounds the next
         check_constant_mode(w[0], w[1] if w.size > 1 else lam_max)
@@ -307,11 +312,11 @@ def _pencil_spectrum(ext: ExteriorSystem, lam_max: float) -> LimitSpectrum:
         # rotate the cluster so each vector's c block is a singular direction;
         # the singular value is the vector's mass share on the inclusions
         _, s, vh = np.linalg.svd(weight * X[nE:, i:j])
-        V = X[:, i:j] @ vh.conj().T
+        V = matmul(X[:, i:j], vh.conj().T)
         share = np.concatenate([s, np.zeros(j - i - s.size)])
         for d in range(j - i):
             x = V[:, d]
-            lam = float(np.real(np.vdot(x, A @ x)))    # Rayleigh quotient, M-unit x
+            lam = float(np.real(vdot(x, A @ x)))    # Rayleigh quotient, M-unit x
             pairs.append(_pencil_pair(ext, A, mass, x, lam, share[d] > TOL_TRACE))
     pairs.sort(key=lambda p: p.lam)
     return LimitSpectrum(tuple(pairs), clusters=_cluster_report(w))

@@ -6,8 +6,9 @@ beside scipy's, which SuperLU and ARPACK keep busy; so grid- and
 interface-sized dense algebra runs on scipy's BLAS (the ``fdm`` module
 docstring states the rule).  A fresh interpreter records the threads that
 ``import numpy`` starts, runs the interface reduction's ``validate`` on the
-96 x 96 centred square, a 1D ``converge`` (n = 4000) and ``fdm.solve`` on
-20000 cells, and reads those threads' CPU ticks from /proc.
+96 x 96 centred square, the eps = 0 ``limit`` on the 128 x 128 centred
+square (12288 exterior cells), a 1D ``converge`` (n = 4000) and
+``fdm.solve`` on 20000 cells, and reads those threads' CPU ticks from /proc.
 """
 
 import json
@@ -48,6 +49,7 @@ square = {"dim": 2, "domain": [1.0, 1.0], "inclusions": [[0.25, 0.75, 0.25, 0.75
 interval = {"dim": 1, "domain": [-1.0, 1.0], "inclusions": [[-0.5, 0.5]],
             "h": 0.0005, "epsilon": 1e-2, "bc": "dirichlet"}
 calls = [("validate", {"medium": square}),
+         ("limit", {"medium": dict(square, h=1 / 128, epsilon=0.0), "lambda_max": 250.0}),
          ("converge", {"medium": interval, "eps_list": [1e-2, 1e-3, 1e-4, 1e-5], "count": 4})]
 spent, start = {}, ticks()
 with tempfile.TemporaryDirectory() as out:

@@ -298,6 +298,93 @@ class TestWindowCount:
             fdm.count_below(A, mass, 250.0)
 
 
+def layout_pencil(n, layout, bc):
+    """The eps = 0 pencil of an n x n grid with the centred square or the four
+    corner squares, both mirror- and transpose-symmetric at every n."""
+    mask = np.zeros((n, n), dtype=int)
+    if layout == "centre":
+        a = round(n / 4)
+        mask[a:n - a, a:n - a] = 1
+    else:
+        a, b = round(n / 8), round(3 * n / 8)
+        for label, (i, j) in enumerate(((a, a), (a, n - b), (n - b, a), (n - b, n - b)), 1):
+            mask[i:i + b - a, j:j + b - a] = label
+    return limitspec.build_exterior(ContrastMedium(Geometry2D(1.0, 1.0, 1 / n, mask), 0.0, bc))
+
+
+FOLDED_WINDOWS = {
+    **{f"{layout}-{n}-{bc.kind}": functools.partial(layout_pencil, n, layout, bc)
+       for n in (32, 33, 48) for layout in ("centre", "corners")
+       for bc in (BoundaryKind.dirichlet(), BoundaryKind.neumann())},
+    # both mirrors, no transposition
+    "rect": lambda: limitspec.build_exterior(
+        med2d(0.0, 1 / 32, rects=((0.25, 0.75, 0.375, 0.625),))),
+    # the point reflection J: one real sector
+    "bloch": lambda: limitspec.build_exterior(
+        med2d(0.0, 1 / 32, BoundaryKind.bloch((0.7, 0.3)))),
+}
+
+
+class TestFoldedWindow:
+    """The window solved one symmetry sector at a time, against the whole pencil."""
+
+    @pytest.mark.parametrize("case", list(FOLDED_WINDOWS))
+    def test_sectors_match_the_whole_pencil(self, case, solves):
+        ext = FOLDED_WINDOWS[case]()
+        A, mass, (perms, J) = ext.A, ext.mass, ext.symmetries()
+        assert (len(perms), J is not None) == {"rect": (2, False), "bloch": (0, True)}.get(
+            case, (3, False))
+        whole, _ = fdm.eigenpairs_below(A, mass, 250.0)
+        solves.clear()
+        w, X = fdm.eigenpairs_below(A, mass, 250.0, perms, J)
+        # each sector is complete on its own: their counts add up to the whole one
+        sectors = fdm._sectors(A, perms, J, 0)
+        counts = []
+        for Q, S, cells, _ in sectors:
+            counts.append(counts[-1] if S is None else fdm.count_below(S, mass[cells], 250.0))
+        assert sum(counts) == fdm.count_below(A, mass, 250.0) == w.size == whole.size
+        # only the sectors above the dense threshold go to shift-invert
+        assert [size for size, _ in solves] == [S.shape[0] for _, S, _, _ in sectors
+                                                if S is not None and S.shape[0] > fdm.DENSE_WINDOW]
+        G = X.conj().T @ (mass[:, None] * X)
+        assert np.allclose(G, np.eye(w.size), atol=1e-10)
+        if ext.medium.bc.kind == "neumann":     # the zero mode, to 1e-10 absolute
+            assert abs(w[0] - whole[0]) < 1e-10
+            w, whole = w[1:], whole[1:]
+        assert np.allclose(w, whole, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("case", ["centre-48-dirichlet", "corners-33-neumann", "bloch"])
+    def test_the_exterior_block_is_folded_alike(self, case):
+        # K_EE takes the exterior-cell part of the pencil's symmetries
+        ext = FOLDED_WINDOWS[case]()
+        whole, _ = fdm.eigenpairs_below(ext.K_EE, ext.exterior_mass, 250.0)
+        w, v = ext.exterior_eigs(250.0)
+        assert w.size == whole.size and np.allclose(w, whole, rtol=1e-10, atol=0)
+        r = ext.K_EE @ v - ext.exterior_mass[:, None] * v * w
+        assert np.linalg.norm(r, axis=0).max() < 1e-8 * np.abs(ext.K_EE).max()
+
+    def test_the_sectors_lie_on_both_sides_of_the_dense_threshold(self):
+        ext = layout_pencil(48, "centre", BoundaryKind.dirichlet())
+        sizes = [S.shape[0] for _, S, _, _ in fdm._sectors(ext.A, *ext.symmetries(), 0)
+                 if S is not None]
+        assert min(sizes) <= fdm.DENSE_WINDOW < max(sizes)
+
+    @pytest.mark.parametrize("lam", [145.56, 195.08])
+    def test_each_copy_of_a_double_comes_from_its_own_twin_sector(self, lam):
+        ext = layout_pencil(48, "centre", BoundaryKind.dirichlet())
+        (px, py, _), _ = ext.symmetries()
+        w, X = fdm.eigenpairs_below(ext.A, ext.mass, 250.0, *ext.symmetries())
+        copies = np.flatnonzero(np.abs(w - lam) < 0.01)
+        assert copies.size == 2 and w[copies[1]] - w[copies[0]] < 1e-10 * lam
+        parities = []
+        for x in X[:, copies].T:
+            parity = tuple(int(np.sign(x[p] @ x)) for p in (px, py))
+            for p, sign in zip((px, py), parity):
+                assert np.allclose(x[p], sign * x, atol=1e-12)
+            parities.append(parity)
+        assert sorted(parities) == [(-1, 1), (1, -1)]
+
+
 def split_cases():
     odd = np.zeros((33, 33), dtype=int)
     odd[11:22, 11:22] = 1

@@ -144,8 +144,8 @@ def test_neumann_limit_spectrum():
 def test_neumann_limit_drop_is_checked(monkeypatch):
     inner = limitspec.eigenpairs_below
 
-    def missing_first(A, mass, lam_max):
-        w, X = inner(A, mass, lam_max)
+    def missing_first(A, mass, lam_max, perms, J):
+        w, X = inner(A, mass, lam_max, perms, J)
         return w[1:], X[:, 1:]
 
     monkeypatch.setattr(limitspec, "eigenpairs_below", missing_first)
