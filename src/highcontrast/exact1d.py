@@ -23,8 +23,9 @@ with an explicit certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -294,12 +295,22 @@ def _oscillation_count(geom: Geometry1D, eps: float, lam: float) -> int:
 
 @dataclass(frozen=True)
 class Spectrum1D:
-    """Transfer-matrix eigenvalues with per-segment eigenfunction coefficients."""
+    """Transfer-matrix eigenvalues with per-segment eigenfunction coefficients.
+
+    ``eigenfunctions`` are built on first read from ``problem`` (geometry,
+    eps, bc): sampling them costs more than the root scan of a small
+    spectrum, and the band and limit callers read the eigenvalues only."""
 
     eigenvalues: np.ndarray
-    eigenfunctions: tuple[Eigenfunction1D, ...]
     residuals: np.ndarray
+    problem: tuple = field(repr=False, compare=False)
     clusters: tuple[tuple[float, float], ...] = ()
+
+    @cached_property
+    def eigenfunctions(self) -> tuple[Eigenfunction1D, ...]:
+        geom, eps, bc = self.problem
+        lams = self.eigenvalues
+        return _eigenfunctions(geom, eps, lams, _start_states(geom, eps, bc, lams))
 
 
 def transfer_spectrum_1d(geom: Geometry1D, eps: float, bc: BoundaryKind,
@@ -333,10 +344,9 @@ def transfer_spectrum_1d(geom: Geometry1D, eps: float, bc: BoundaryKind,
         if expected != len(lams):
             raise ScanResolutionError(
                 f"found {len(lams)} eigenvalues but oscillation count is {expected}")
-    funcs = _eigenfunctions(geom, eps, lams, _start_states(geom, eps, bc, lams))
     residuals = np.abs(f(lams))
     clusters = tuple((s1 * s1, s2 * s2) for s1, s2 in rep.clusters)
-    return Spectrum1D(lams, funcs, residuals, clusters)
+    return Spectrum1D(lams, residuals, (geom, eps, bc), clusters)
 
 
 def _start_states(geom: Geometry1D, eps: float, bc: BoundaryKind,

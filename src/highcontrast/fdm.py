@@ -31,7 +31,15 @@ complete on its own: up to ``DENSE_WINDOW`` unknowns by LAPACK's dense
 eigh and its Sturm count, above by shift-invert checked against
 Sylvester's law of inertia.  Only contrast-free operators take a window
 (the eps = 0 pencil and its exterior block): in a dense solve a 1/eps
-entry would swamp the small eigenvalues with its rounding.
+entry would swamp the small eigenvalues with its rounding.  Source
+problems without kernel (``solve``) take the same fold, and factor only
+the sectors their source reaches.
+
+Every sparse LU is one ``splu`` (``factor``, which tabulates the measured
+times) with SuperLU's supernode relaxation ``SUPERLU_RELAX`` = 2 and panel
+size ``SUPERLU_PANEL_SIZE`` = 2, not its defaults 10 and 20: it factors
+every grid operator built here faster, with solves as fast.  Relax 64
+corrupted the heap (an abort at interpreter exit, scipy 1.17.1).
 
 Dense algebra whose size grows with the grid or the interface (products,
 solves, norms, QR, SVD) runs on scipy's BLAS and LAPACK: ``matmul``,
@@ -88,6 +96,9 @@ PHASE_ONE_TOL = 1e-12   # |phase - 1| of a wrap face counted as phase 1 by ``sol
 # sector unknowns up to which a window is solved dense: where dense eigh and
 # count + shift-invert both took 3 ms (2D eps = 0 pencil sectors, 2-vCPU x86)
 DENSE_WINDOW = 300
+# SuperLU's supernode relaxation and panel size for every factor (``factor``)
+SUPERLU_RELAX = 2
+SUPERLU_PANEL_SIZE = 2
 
 
 class SolvabilityError(ValueError):
@@ -278,19 +289,24 @@ def face_conductances(medium: ContrastMedium, grid: Grid, sel=slice(None)) -> np
 
 def face_matrix(n: int, cin: np.ndarray, cout: np.ndarray, g: np.ndarray,
                 phase: np.ndarray) -> sp.csr_matrix:
-    """Sum over faces of g (e_in - phase e_out)(e_in - phase e_out)^H on n cells.
+    """Sum over faces of g (e_in - phase e_out)(e_in - phase e_out)^H on n
+    cells, g real.
 
     A face with ``cout`` = -1 closes on a zero value: it adds g to the
-    diagonal entry of its ``cin`` cell only.
+    diagonal entry of its ``cin`` cell only.  The diagonal is summed by
+    ``np.bincount`` and each face writes its two off-diagonal entries once,
+    as exact conjugates, so the matrix is exactly Hermitian; only faces
+    joining the same two cells (a Bloch axis of two cells) leave duplicates,
+    which the CSR conversion sums.
     """
     two = cout >= 0
     a, b, gt, p = cin[two], cout[two], g[two], phase[two]
-    rows = np.concatenate([cin, b, a, b])
-    cols = np.concatenate([cin, b, b, a])
-    vals = np.concatenate([g, gt, -gt * np.conj(p), -gt * p])
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    K.sum_duplicates()
-    return K
+    cells = np.arange(n)
+    off = -gt * p                   # the (cout, cin) entry
+    return sp.coo_matrix((np.concatenate([np.bincount(cin, g, n) + np.bincount(b, gt, n),
+                                          np.conj(off), off]),
+                          (np.concatenate([cells, a, b]), np.concatenate([cells, b, a]))),
+                         shape=(n, n)).tocsr()
 
 
 def interface_dofs(grid: Grid):
@@ -438,7 +454,28 @@ def factor(A: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A", **options):
     every matrix factored here is Hermitian, and on the 2D grids this ordering
     has about half the fill of scipy's default COLAMD.  ``permc_spec="NATURAL"``
     keeps a column order the caller has already chosen.  ``options`` go to
-    ``splu``."""
+    ``splu``.
+
+    Every factor takes SuperLU's supernode settings ``SUPERLU_RELAX`` and
+    ``SUPERLU_PANEL_SIZE``, not its defaults (relax 10, panel size 20): the
+    grid operators have small supernodes, and the small settings cut the
+    factor time at every size built here while the triangular solves keep
+    their speed.  Median factor times, defaults against these (2-vCPU x86
+    with outside load, scipy 1.17.1, ordering MMD_AT_PLUS_A):
+
+        1D cell, n = 4000                  0.73 -> 0.70 ms
+        radial sector, n = 4000            0.79 -> 0.72 ms
+        Bloch real form, 32 x 32           2.07 -> 1.44 ms
+        192 x 192 sectors, 4560-4656 dofs  4.84-4.86 -> 3.72-3.82 ms
+        192 x 192 sector, 9216 dofs        13.7 -> 10.6 ms
+        384 x 384 sectors, 18336-18528     25.4-26.4 -> 20.1-20.5 ms
+        384 x 384 sector, 36864 dofs       85.8 -> 70.6 ms
+
+    Any relax from 1 to 8 with panel size 1 or 2 lands within 5% of these
+    on the 192 x 192 sectors; relax 16 is 4-12% slower and relax 32 16-49%,
+    and relax 64 factored and solved correctly, then crashed the
+    interpreter at exit (heap corruption)."""
+    options = {"relax": SUPERLU_RELAX, "panel_size": SUPERLU_PANEL_SIZE, **options}
     try:
         return spla.splu(A.tocsc(), permc_spec=permc_spec, **options)
     except RuntimeError as exc:
@@ -713,19 +750,25 @@ def _sectors(A: sp.csr_matrix, perms, J, floor: int):
     return sectors
 
 
-def _sector_pairs(sectors, mass: np.ndarray, solve):
-    """(lam, X) of every sector, ascending: ``solve(S, mass of its cells,
-    d)`` gives a sector's pairs, which are moved onto the dofs by its Q; a
-    twin has the pairs of the sector before it."""
-    lams, vecs = [], []
+def _sector_pairs(sectors, mass: np.ndarray, solve, k: int = None):
+    """(lam, X) of the k lowest pairs of all sectors (every pair if k is
+    None), ascending: ``solve(S, mass of its cells, d)`` gives a sector's
+    pairs, and a twin has the pairs of the sector before it.  The pairs are
+    picked by value first, and only those are moved onto the dofs by their
+    sector's Q."""
+    lams, pairs = [], []
     for Q, S, cells, d in sectors:
         if S is not None:
             w, y = solve(S, mass[cells], d)
         lams.append(w)
-        vecs.append(y if Q is None else Q @ y)
+        pairs.append((Q, y))
     w = np.concatenate(lams)
-    order = np.argsort(w)
-    return w[order], np.hstack(vecs)[:, order]
+    order = np.argsort(w)[:k]
+    keep = np.zeros(w.size, dtype=bool)
+    keep[order] = True
+    kept = np.split(keep, np.cumsum([lam.size for lam in lams])[:-1])
+    X = np.hstack([y[:, c] if Q is None else Q @ y[:, c] for (Q, y), c in zip(pairs, kept)])
+    return w[order], X[:, np.searchsorted(np.flatnonzero(keep), order)]
 
 
 def folded_eigenpairs(A: sp.csr_matrix, mass: np.ndarray, perms, J, k: int):
@@ -736,8 +779,8 @@ def folded_eigenpairs(A: sp.csr_matrix, mass: np.ndarray, perms, J, k: int):
     permutations of A's dofs as ``symmetries`` gives them, and each keeps
     the mass.
 
-    Each sector's pairs are moved onto the dofs and the k lowest of all are
-    kept.  A double eigenvalue that the symmetry causes lands in two
+    The k lowest of all the sectors' pairs are picked and moved onto the
+    dofs.  A double eigenvalue that the symmetry causes lands in two
     sectors, so no single Lanczos run has to resolve it.  The eigenvalues
     are the sector solves' Rayleigh quotients, which are those on A, and
     folded pairs pass the residual gate again on A.
@@ -746,8 +789,7 @@ def folded_eigenpairs(A: sp.csr_matrix, mass: np.ndarray, perms, J, k: int):
     if sectors[0][0] is None:
         return shift_invert_eigenpairs(A, mass, k)
     w, v = _sector_pairs(sectors, mass,
-                         lambda S, m, d: shift_invert_eigenpairs(S, m, -(-k // d))[:2])
-    w, v = w[:k], v[:, :k]
+                         lambda S, m, d: shift_invert_eigenpairs(S, m, -(-k // d))[:2], k)
     root = np.sqrt(mass)
     return w, v, _residuals(A, root, v * root[:, None], w)
 
@@ -841,7 +883,9 @@ def check_solvable(bc: BoundaryKind, grid: Grid, f: np.ndarray) -> bool:
 
 def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     """Solution of the discrete source problem; where the constants span the
-    kernel, the mean-zero solution of a mean-zero source (``check_solvable``)."""
+    kernel, the mean-zero solution of a mean-zero source (``check_solvable``).
+    Else a 2D grid with mirror symmetries is solved one symmetry sector at a
+    time (``_folded_solve``).  The residual is checked on the whole K."""
     f = np.asarray(f)
     rhs = (opr.grid.mass * f).astype(opr.K.dtype)
     if check_solvable(opr.bc, opr.grid, f):
@@ -849,11 +893,32 @@ def solve(opr: DiscreteOperator, f: np.ndarray) -> np.ndarray:
         u = np.append(factor(opr.K[:-1, :-1]).solve(rhs[:-1]), 0.0)
         u = u - vdot(opr.grid.mass, u) / np.sum(opr.grid.mass)
     else:
-        u = factor(opr.K).solve(rhs)
+        u = _folded_solve(opr.K, rhs, symmetries(opr.labels, opr.grid.shape, opr.bc)[0])
     resid = norm(opr.K @ u - rhs)
     scale = max(norm(rhs), abs(opr.K).max() * norm(u), 1e-300)
     if resid > TOL_SOLVE * scale:
         raise RuntimeError(f"direct solve residual too large: {resid:.2e}")
+    return u
+
+
+def _folded_solve(K: sp.csr_matrix, rhs: np.ndarray, perms) -> np.ndarray:
+    """K^-1 rhs for a nonsingular K that commutes with the involutions
+    ``perms``, as the sum over the sectors of ``_sectors(K, perms, None, 0)``
+    of Q S^-1 Q^T rhs.  A sector whose projected source Q^T rhs is exactly
+    zero is skipped (a source with the grid's symmetry projects onto one
+    sector only), and a twin solves with the factor of the sector before it."""
+    sectors = _sectors(K, perms, None, 0)
+    if sectors[0][0] is None:
+        return factor(K).solve(rhs)
+    u, lu = np.zeros_like(rhs), None
+    for Q, S, _, _ in sectors:
+        if S is not None:
+            last, lu = S, None
+        b = Q.T @ rhs
+        if b.any():
+            if lu is None:
+                lu = factor(last)
+            u += Q @ lu.solve(b)
     return u
 
 

@@ -221,6 +221,35 @@ def test_batched_eigenfunctions_match_one_at_a_time(geom, bc):
         assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("bc", [BoundaryKind.dirichlet(), BoundaryKind.neumann(),
+                                BoundaryKind.bloch(0.9)])
+@pytest.mark.parametrize("eps", [1e-2, 0.0])
+def test_eigenfunctions_are_built_on_first_read_only(bc, eps, monkeypatch):
+    # lazy values equal the ones built eagerly from the same eigenvalues
+    lams = exact1d.transfer_spectrum_1d(SYM, eps, bc, 100.0).eigenvalues
+    eager = exact1d._eigenfunctions(SYM, eps, lams, exact1d._start_states(SYM, eps, bc, lams))
+    builds = []
+    inner = exact1d._eigenfunctions
+
+    def counted(*args):
+        builds.append(args[2].size)
+        return inner(*args)
+
+    monkeypatch.setattr(exact1d, "_eigenfunctions", counted)
+    s = exact1d.transfer_spectrum_1d(SYM, eps, bc, 100.0)
+    assert builds == []
+    assert np.array_equal(s.eigenvalues, lams)
+    lazy = s.eigenfunctions
+    assert s.eigenfunctions is lazy and builds == [lams.size]
+    assert len(lazy) == len(eager)
+    for got, want in zip(lazy, eager):
+        assert got.lam == want.lam
+        for a, b in zip(got.segments, want.segments):
+            assert a[:3] == b[:3]
+            assert np.asarray(a[3]).dtype == np.asarray(b[3]).dtype
+            assert np.array_equal(a[3:], b[3:])
+
+
 @pytest.mark.parametrize("bc, dtype", [(BoundaryKind.dirichlet(), np.float64),
                                        (BoundaryKind.neumann(), np.float64),
                                        (BoundaryKind.bloch(0.9), np.complex128)])

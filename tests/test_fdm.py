@@ -462,6 +462,25 @@ class TestReflectionSectors:
         assert np.allclose(V.T @ V * vol, np.eye(6), atol=1e-10)
         assert res.residuals.max() < fdm.TOL_EIG
 
+    @pytest.mark.parametrize("case", ["centred-1", "centred-0.01", "corners"])
+    def test_the_k_lowest_are_picked_before_they_are_unfolded(self, case):
+        # the same pairs, bitwise, as unfolding every pair and keeping the k
+        # lowest; the uniform square's doubles tie exactly across sectors
+        opr = fdm.assemble(split_cases()[case])
+        sectors = fdm._sectors(opr.K, *fdm.symmetries(opr.labels, opr.grid.shape, opr.bc), 20)
+        pairs = {}
+
+        def solve(S, m, d):
+            key = (S.shape[0], S.nnz, d)
+            if key not in pairs:
+                pairs[key] = fdm.shift_invert_eigenpairs(S, m, -(-6 // d))[:2]
+            return pairs[key]
+
+        w_all, X_all = fdm._sector_pairs(sectors, opr.grid.mass, solve)
+        w, X = fdm._sector_pairs(sectors, opr.grid.mass, solve, 6)
+        assert w_all.size > 6
+        assert np.array_equal(w, w_all[:6]) and np.array_equal(X, X_all[:, :6])
+
     @pytest.mark.parametrize("med", [
         med2d(1e-2, h=1 / 32, rects=((0.25, 0.5, 0.25, 0.625),)),
         med2d(1e-2, h=1 / 32, bc=BoundaryKind.bloch(0.4)),
@@ -706,6 +725,148 @@ class TestSolve:
         assert np.linalg.norm(opr.K @ u - opr.grid.cell_volume * f) < 1e-10
         # a field of the source's size, not the blow-up of a singular solve
         assert np.max(np.abs(u)) < 1.0
+
+
+def odd_square(eps=1e-2):
+    """The centred square on the 33 x 33 grid: a middle row and column."""
+    mask = np.zeros((33, 33), dtype=int)
+    mask[11:22, 11:22] = 1
+    return ContrastMedium(Geometry2D(1.0, 1.0, 1 / 33, mask), eps, BoundaryKind.dirichlet())
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """The size of each matrix ``fdm.factor`` factors."""
+    sizes = []
+    inner = fdm.factor
+
+    def counted(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return inner(A, *args, **kwargs)
+
+    monkeypatch.setattr(fdm, "factor", counted)
+    return sizes
+
+
+class TestFoldedSolve:
+    """A 2D grid with mirror symmetries and no kernel is solved one symmetry
+    sector at a time; the result is the whole operator's solve."""
+
+    CASES = {"centred-32": lambda: med2d(1e-2, h=1 / 32),
+             "centred-33": odd_square,
+             "centred-48": lambda: med2d(1e-2, h=1 / 48),
+             "corners": lambda: med2d(1e-2, h=1 / 32, rects=CORNERS)}
+
+    @pytest.mark.parametrize("source", ["symmetric", "random"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sectors_give_the_whole_solve(self, case, source, factors):
+        opr = fdm.assemble(self.CASES[case]())
+        f = (np.where(opr.labels > 0, 1.0, 0.5) if source == "symmetric"
+             else np.random.default_rng(7).standard_normal(opr.dimension))
+        u = fdm.solve(opr, f)
+        ref = spla.splu(opr.K.tocsc()).solve(opr.grid.mass * f)
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+        sectors = fdm._sectors(opr.K, fdm.symmetries(opr.labels, opr.grid.shape, opr.bc)[0],
+                               None, 0)
+        assert sectors[0][0] is not None
+        if source == "symmetric":
+            # only the sector even under every symmetry sees the source
+            assert factors == [sectors[0][1].shape[0]]
+        else:
+            # one factor per sector but the twin, which reuses the one before it
+            assert factors == [S.shape[0] for _, S, _, _ in sectors if S is not None]
+            assert len(factors) < len(sectors)
+
+    @pytest.mark.parametrize("med, n, size", [
+        (med2d(1e-2, h=1 / 32, bc=BoundaryKind.neumann()), None, 32 * 32 - 1),
+        (med2d(1e-2, h=1 / 32, bc=BoundaryKind.bloch(0.4)), None, 32 * 32),
+        (med2d(1e-2, h=1 / 32, rects=((0.25, 0.5, 0.25, 0.625),)), None, 32 * 32),
+        (med1d(1e-2), 200, 200),
+        (ContrastMedium(RadialGeometry(0.5), 1e-2, BoundaryKind.dirichlet()), 200, 200)])
+    def test_other_grids_factor_the_whole_operator(self, med, n, size, factors):
+        opr = fdm.assemble(med, n)
+        f = np.where(opr.labels > 0, 1.0, -1.0) * opr.grid.centers.reshape(opr.dimension, -1)[:, 0]
+        f = f - fdm.vdot(opr.grid.mass, f) / np.sum(opr.grid.mass)
+        u = fdm.solve(opr, f)
+        assert factors == [size]
+        rhs = (opr.grid.mass * f).astype(opr.K.dtype)
+        assert np.linalg.norm(opr.K @ u - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def coo_face_matrix(n, cin, cout, g, phase):
+    """Reference face sum: every face's four entries through one COO build."""
+    two = cout >= 0
+    a, b, gt, p = cin[two], cout[two], g[two], phase[two]
+    rows = np.concatenate([cin, b, a, b])
+    cols = np.concatenate([cin, b, b, a])
+    vals = np.concatenate([g, gt, -gt * np.conj(p), -gt * p])
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    K.sum_duplicates()
+    return K
+
+
+FACE_MATRIX_CASES = {
+    "1d": (ContrastMedium(TWO, 1e-3, BoundaryKind.dirichlet()), 200),
+    "1d-bloch": (ContrastMedium(TWO, 1e-3, BoundaryKind.bloch(0.7)), 200),
+    "2d": (med2d(1e-3, h=1 / 48), None),
+    "2d-corners-neumann": (med2d(1e-3, h=1 / 32, bc=BoundaryKind.neumann(), rects=CORNERS), None),
+    "2d-bloch": (med2d(1e-3, h=1 / 32, bc=BoundaryKind.bloch((0.7, 0.3)), rects=CORNERS), None),
+    "radial": (ContrastMedium(RadialGeometry(0.5), 1e-3, BoundaryKind.neumann()), 400),
+}
+
+
+def face_matrix_args(med, n):
+    grid = fdm.build_grid(med, n)
+    t = grid.faces
+    return grid.ncells, t.cin, t.cout, fdm.face_conductances(med, grid), t.phase
+
+
+@pytest.mark.parametrize("case", list(FACE_MATRIX_CASES))
+def test_face_matrix_matches_the_coo_build_to_one_ulp(case):
+    args = face_matrix_args(*FACE_MATRIX_CASES[case])
+    K, ref = fdm.face_matrix(*args), coo_face_matrix(*args)
+    assert K.has_canonical_format and K.dtype == ref.dtype
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    for part in (np.real, np.imag):
+        got, want = part(K.data), part(ref.data)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    # exactly Hermitian: each face writes both off-diagonal entries
+    assert (K != K.conj().T).nnz == 0
+
+
+def test_face_matrix_sums_faces_that_join_the_same_cells():
+    # a Bloch axis of two cells: the inner face and the wrap face join cells 0 and 1
+    cin, cout = np.array([0, 1]), np.array([1, 0])
+    g, phase = np.array([2.0, 3.0]), np.array([1.0, np.exp(-0.6j)])
+    K = fdm.face_matrix(2, cin, cout, g, phase)
+    dense = np.zeros((2, 2), dtype=complex)
+    for a, b, gf, p in zip(cin, cout, g, phase):
+        v = np.zeros(2, dtype=complex)
+        v[a], v[b] = 1.0, -p
+        dense += gf * np.outer(v, v.conj())
+    assert K.nnz == 4 and np.allclose(K.toarray(), dense, rtol=1e-15, atol=0)
+
+
+def test_face_matrix_is_bitwise_the_same_in_fresh_processes():
+    code = ("import hashlib, sys\n"
+            "sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+            "import test_fdm\n"
+            "from highcontrast import fdm\n"
+            "digest = hashlib.sha256()\n"
+            "for med, n in test_fdm.FACE_MATRIX_CASES.values():\n"
+            "    K = fdm.face_matrix(*test_fdm.face_matrix_args(med, n))\n"
+            "    for a in (K.data, K.indices, K.indptr):\n"
+            "        digest.update(a.tobytes())\n"
+            "print(digest.hexdigest())")
+    src = os.path.dirname(os.path.dirname(fdm.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    digests = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        out = subprocess.run([sys.executable, "-c", code, src, here], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_interface_flux_conventions():
